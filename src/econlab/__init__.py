@@ -6,7 +6,7 @@ box model, CRRA utility, the Ramsey saddle path) plus the fixed-step
 numerical kernels used to cross-check every closed form.
 """
 
-from . import carbon, cli, crra, matgeo, numerics, ramsey, series, spectra
+from . import carbon, crra, matgeo, numerics, ramsey, series, spectra
 from .carbon import (CarbonParams, airborne_fraction, airborne_fraction_limit,
                      concentration_closed, concentration_rhs, emissions)
 from .crra import CrraSpec, arrow_pratt, marginal, utility

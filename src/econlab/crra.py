@@ -63,5 +63,7 @@ def arrow_pratt(s: CrraSpec, x: float, h=None) -> float:
     u0 = utility(s, x)
     dn = utility(s, x - h)
     d1 = (up - dn) / (2.0 * h)
+    if h * h == 0.0 or d1 == 0.0:
+        raise DomainError(f"step h={h} too small to resolve U' and U'' at x={x}")
     d2 = (up - 2.0 * u0 + dn) / (h * h)
     return -d2 * x / d1

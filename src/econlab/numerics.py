@@ -131,7 +131,14 @@ def simpson(g, a, b, panels) -> float:
         return 0.0
     xs = np.linspace(a, b, panels + 1)
     ys = np.array([g(x) for x in xs], dtype=float)
-    h = (b - a) / panels
+    return simpson_samples(ys, (b - a) / panels)
+
+
+def simpson_samples(ys, h) -> float:
+    """Composite Simpson integral of values sampled at spacing h; needs
+    an even number of intervals."""
+    if (ys.size - 1) % 2 != 0:
+        raise DomainError("need an even number of grid steps")
     return (h / 3.0) * (ys[0] + ys[-1]
                         + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
 
@@ -183,7 +190,8 @@ def central_diff_gradient(g, x, h=1.0e-5) -> np.ndarray:
 def bisect(g, lo, hi, tol=1.0e-12, max_iter=200) -> float:
     """Bisection root of g on [lo, hi]; needs a sign change at the ends.
 
-    Returns the bracket midpoint once the bracket width is <= tol.
+    Returns the bracket midpoint once the bracket width is <= tol, or
+    once the ends are adjacent floats and no midpoint lies between them.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
@@ -202,6 +210,8 @@ def bisect(g, lo, hi, tol=1.0e-12, max_iter=200) -> float:
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         f_mid = g(mid)
         if f_mid == 0.0:
             return mid

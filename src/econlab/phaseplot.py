@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .ramsey import _eff_dep, production
 
 _W, _H = 640.0, 480.0
 _ML, _MR, _MT, _MB = 70.0, 24.0, 24.0, 48.0
@@ -55,11 +56,11 @@ def _loci(params, steady, view):
     is log c = log(A k^alpha - (delta+alpha_L+alpha_T) k) where that
     expression is positive.
     """
-    dep = params.delta + params.alpha_L + params.alpha_T
+    dep = _eff_dep(params)
     pts = []
     for lk in np.linspace(view.x0, view.x1, 200):
         k = math.exp(lk)
-        hump = params.A_tfp * k ** params.alpha - dep * k
+        hump = production(params, k) - dep * k
         if hump > 0.0:
             pts.append((lk, math.log(hump)))
     out = []

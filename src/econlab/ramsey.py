@@ -18,7 +18,8 @@ from .errors import (BracketError, ComplexSpectrumError, ConvergenceError,
                      InfeasibleParametersError, NotDiagonalizableError,
                      StabilityStructureError)
 from .matgeo import EigenDecomp2, MatrixComplex, _canonical, _null_vector
-from .numerics import Grid, Trajectory, cumulative_simpson
+from .numerics import (Grid, Trajectory, bisect, central_diff_gradient,
+                       cumulative_simpson, simpson_samples)
 
 # log-deviation from the steady state beyond which a path is classified
 # as blown up (consumed by the shooting bisection)
@@ -129,19 +130,11 @@ def rhs(p: RamseyParams, log_k: float, log_c: float) -> np.ndarray:
 
     d log k / dt = A e^((alpha-1) log k) - e^(log c - log k) - (delta+alpha_L+alpha_T)
     d log c / dt = (1/theta) (alpha A e^((alpha-1) log k) - (delta+rho+theta*alpha_T))
+
+    Evaluated by _field, like the integrators: both exponents are clipped
+    at 700, so far-off states give large finite values, never overflow.
     """
-    e_k = (p.alpha - 1.0) * log_k
-    e_c = log_c - log_k
-    for comp, arg in ((0, e_k), (1, e_c)):
-        if arg > 700.0:
-            raise DivergenceError(
-                "overflow in exponentials while evaluating the vector field",
-                step_index=0, component=comp, direction=1.0)
-    production_term = p.A_tfp * math.exp(e_k)
-    return np.array([
-        production_term - math.exp(e_c) - _eff_dep(p),
-        (p.alpha * production_term - _mp_target(p)) / p.theta,
-    ])
+    return np.array(_field(p)(log_k, log_c))
 
 
 def jacobian_closed(p: RamseyParams) -> np.ndarray:
@@ -406,16 +399,8 @@ def shoot_nonlinear(p: RamseyParams, k0: float, tol: float,
         raise BracketError(f"lower bracket end c0={lo} is not k-side")
     if classify(hi) != "c-side":
         raise BracketError(f"upper bracket end c0={hi} is not c-side")
-    for _ in range(300):
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if classify(mid) == "k-side":
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"shooting bracket still {hi - lo:.3e} wide after 300 bisections")
+    return bisect(lambda c0: 1.0 if classify(c0) == "c-side" else -1.0,
+                  lo, hi, tol, max_iter=300)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +415,14 @@ def firm_foc_r(p: RamseyParams, k: float) -> float:
 def wage(p: RamseyParams, k: float, t: float) -> float:
     """Wage per unit of raw labor: e^(alpha_T t) (f(k) - f'(k) k)."""
     return math.exp(p.alpha_T * t) * (production(p, k) - production_mp(p, k) * k)
+
+
+def firm_prices(p: RamseyParams, k, t):
+    """Prices along a path (arrays k, t): r = f'(k) - delta and the wage
+    per unit of raw labor e^(alpha_T t) (1-alpha) f(k)."""
+    r = p.alpha * p.A_tfp * k ** (p.alpha - 1.0) - p.delta
+    w = np.exp(p.alpha_T * t) * (1.0 - p.alpha) * p.A_tfp * k ** p.alpha
+    return r, w
 
 
 def _u_spec(p: RamseyParams) -> crra.CrraSpec:
@@ -499,15 +492,6 @@ def assets_path(a0: float, r_fn, w_fn, c_fn, alpha_L: float,
     return a[::2]
 
 
-def _simpson_samples(vals, h):
-    # composite Simpson over uniformly sampled values; even interval count
-    n = vals.size - 1
-    if n % 2 != 0:
-        raise DomainError("need an even number of grid steps")
-    return (h / 3.0) * (vals[0] + vals[-1]
-                        + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
-
-
 def budget_identity_residual(path: HouseholdPath, alpha_L: float) -> float:
     """Lifetime budget gap: discounted terminal assets plus discounted
     consumption minus initial assets minus discounted wages.
@@ -518,8 +502,8 @@ def budget_identity_residual(path: HouseholdPath, alpha_L: float) -> float:
     h = path.grid.h
     bigI = cumulative_simpson(path.r - alpha_L, h)
     disc = np.exp(-bigI)
-    pv_c = _simpson_samples(path.c * disc, h)
-    pv_w = _simpson_samples(path.w * disc, h)
+    pv_c = simpson_samples(path.c * disc, h)
+    pv_w = simpson_samples(path.w * disc, h)
     return float(path.a[-1] * disc[-1] + pv_c - path.a[0] - pv_w)
 
 
@@ -585,7 +569,116 @@ def household_path_from_trajectory(p: RamseyParams, traj: Trajectory) -> Househo
     k = np.exp(traj.states[:, 0])
     growth = np.exp(p.alpha_T * t)
     c_pc = np.exp(traj.states[:, 1]) * growth
-    r = p.alpha * p.A_tfp * k ** (p.alpha - 1.0) - p.delta
-    w = growth * (1.0 - p.alpha) * p.A_tfp * k ** p.alpha
+    r, w = firm_prices(p, k, t)
     nu = np.exp(-(p.rho - p.alpha_L) * t) * c_pc ** (-p.theta)
     return HouseholdPath(traj.grid, a=k * growth, c=c_pc, nu=nu, r=r, w=w)
+
+
+# ---------------------------------------------------------------------------
+# oracle battery
+
+
+@dataclass(frozen=True)
+class Check:
+    """One battery line: the check and its bar, pass/fail, measured value."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+def _closest_approach_index(traj, ss):
+    dev = traj.states - np.array([ss.log_k_star, ss.log_c_star])
+    return int(np.argmin((dev * dev).sum(axis=1)))
+
+
+def verify(p: RamseyParams) -> list[Check]:
+    """Eight cross-checks of the closed forms against independent numeric
+    routes: steady-state residual, Jacobian vs finite differences,
+    eigenpair residuals, shooting vs linear arm, Euler residuals,
+    transversality, lifetime budget identity and asset-path tracking.
+    """
+    checks = []
+
+    ss = steady_state(p)
+    resid = float(np.max(np.abs(rhs(p, ss.log_k_star, ss.log_c_star))))
+    checks.append(Check("steady-state residual < 1e-10", resid < 1.0e-10,
+                        f"residual {resid:.3e}"))
+
+    jac = jacobian_closed(p)
+    fd = np.empty((2, 2))
+    for i in range(2):
+        fd[i] = central_diff_gradient(lambda z, i=i: rhs(p, z[0], z[1])[i],
+                                      np.array([ss.log_k_star, ss.log_c_star]))
+    jac_gap = float(np.max(np.abs(jac - fd)))
+    checks.append(Check("jacobian closed form vs finite differences < 1e-6",
+                        jac_gap < 1.0e-6, f"gap {jac_gap:.3e}"))
+
+    d = eigen_closed(p)
+    eig_resid = max(
+        float(np.max(np.abs(jac @ d.v1 - d.lambda1 * d.v1))),
+        float(np.max(np.abs(jac @ d.v2 - d.lambda2 * d.v2))))
+    checks.append(Check("eigenpair residual < 1e-9", eig_resid < 1.0e-9,
+                        f"residual {eig_resid:.3e}"))
+
+    k0 = 0.5 * ss.k_star
+    c0_lin = saddle_path_linear(p, k0)
+    c0_shoot = shoot_nonlinear(p, k0, 1.0e-10)
+    gap = abs(c0_lin - c0_shoot) / c0_shoot
+    checks.append(Check("linear arm vs shooting c0 within 2%", gap < 0.02,
+                        f"gap {gap:.3e}"))
+
+    try:
+        traj = simulate(p, k0, c0_shoot, Grid(0.0, 400.0, 8000))
+    except DivergenceError as exc:
+        traj = exc.partial
+    cut = _closest_approach_index(traj, ss)
+    resid_e = float(np.max(np.abs(euler_residual(p, traj)[:cut + 1])))
+    checks.append(Check("euler residual along the saddle < 1e-4 before "
+                        "closest approach", resid_e < 1.0e-4,
+                        f"max residual {resid_e:.3e}"))
+
+    # transversality over a horizon long enough for the factor-10 bar:
+    # discounted assets decay at the effective discount rate
+    eff = p.rho - p.alpha_L - (1.0 - p.theta) * p.alpha_T
+    t_end = max(200.0, 3.0 * math.log(10.0) / eff)
+    steps = 2 * int(round(t_end / 0.05 / 2))
+    full = np.full((steps + 1, 2), (ss.log_k_star, ss.log_c_star))
+    n_av = min(cut + 1, steps + 1)
+    full[:n_av] = traj.states[:n_av]
+    saddle = Trajectory(Grid(0.0, t_end, steps), full, ("log_k", "log_c"))
+    rep = transversality_check(household_path_from_trajectory(p, saddle),
+                               p.alpha_L)
+    checks.append(Check("transversality: discounted assets decay",
+                        bool(rep.decaying),
+                        f"final discounted assets {rep.final_value:.3e}"))
+
+    # budget identity on an assets_path-generated equilibrium path
+    g = Grid(0.0, 100.0, 2000)
+    w_star = (1.0 - p.alpha) * p.A_tfp * ss.k_star ** p.alpha
+    r_const = p.rho + p.theta * p.alpha_T
+    a = assets_path(
+        ss.k_star,
+        lambda t: r_const,
+        lambda t: w_star * math.exp(p.alpha_T * t),
+        lambda t: ss.c_star * math.exp(p.alpha_T * t),
+        p.alpha_L, g)
+    t_nodes = g.times
+    hp2 = HouseholdPath(
+        g, a=a,
+        c=ss.c_star * np.exp(p.alpha_T * t_nodes),
+        nu=np.exp(-(p.rho - p.alpha_L) * t_nodes),
+        r=np.full(g.steps + 1, r_const),
+        w=w_star * np.exp(p.alpha_T * t_nodes))
+    scale = abs(hp2.a[0]) + abs(budget_identity_residual(
+        HouseholdPath(g, a=np.zeros(g.steps + 1), c=np.zeros(g.steps + 1),
+                      nu=hp2.nu, r=hp2.r, w=hp2.w), p.alpha_L))
+    bres = abs(budget_identity_residual(hp2, p.alpha_L)) / scale
+    checks.append(Check("budget identity residual < 1e-6 relative",
+                        bres < 1.0e-6, f"relative residual {bres:.3e}"))
+
+    # the equilibrium asset path must track capital
+    track = float(np.max(np.abs(a - ss.k_star * np.exp(p.alpha_T * t_nodes))))
+    checks.append(Check("assets_path tracks equilibrium capital < 1e-6",
+                        track < 1.0e-6, f"max gap {track:.3e}"))
+    return checks

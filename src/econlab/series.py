@@ -27,7 +27,9 @@ class TaylorSpec:
 
 
 def _reduce(x: float) -> float:
-    """Map x into (-pi, pi]."""
+    """Map x into (-pi, pi]; a non-finite x has no reduction."""
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     r = math.remainder(x, 2.0 * math.pi)
     return math.pi if r == -math.pi else r
 

@@ -13,14 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .matgeo import as_matn
 
 
 def as_symmatn(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise DomainError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("matrix entries must be finite")
+    arr = as_matn(a)
     if np.max(np.abs(arr - arr.T)) > 1.0e-12:
         raise DomainError("matrix is not symmetric within 1e-12")
     return arr

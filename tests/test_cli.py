@@ -1,13 +1,20 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from econlab import ramsey
 from econlab.cli import (BASELINE_CONFIG, fmt, main, parse_args,
                          parse_kv_config)
 from econlab.errors import DomainError
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -222,3 +229,56 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "det", "--matrix", "1,2;3")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
     assert run_cli(capsys, "det")[0] == 2
+
+
+def test_ramsey_saddle_tolerance_below_one_ulp(capsys):
+    def c0(tol):
+        code, out, _ = run_cli(capsys, "ramsey-saddle", f"--tol={tol}")
+        assert code == 0
+        lines = dict(line.split(" = ") for line in out.strip().splitlines())
+        return float(lines["c0_shooting"])
+
+    tight, loose = c0("1e-16"), c0("1e-12")
+    assert abs(tight - loose) <= 1.0e-12 * loose
+
+
+def test_crra_underflowing_step_exits_domain(capsys):
+    code, out, err = run_cli(capsys, "crra", "--theta", "1", "--x", "1e-300")
+    assert code == 3
+    assert out == "" and err.startswith("econlab: ")
+
+
+@pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+def test_taylor_non_finite_argument_exits_domain(capsys, x):
+    code, out, err = run_cli(capsys, "taylor", f"--x={x}")
+    assert code == 3
+    assert out == "" and err.startswith("econlab: ")
+
+
+def test_ramsey_verify_prints_the_library_battery(capsys):
+    checks = ramsey.verify(ramsey.BASELINE)
+    assert len(checks) == 8 and all(c.passed for c in checks)
+    code, out, _ = run_cli(capsys, "ramsey-verify")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[:-1] == [f"PASS {c.name} ({c.detail})" for c in checks]
+    assert lines[-1] == "PASS ramsey-verify overall"
+
+
+def test_module_entry_point_runs_without_warnings():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "econlab.cli", "det",
+         "--matrix=3,1;1,4"], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1.10000000000e+01\n"
+
+
+def test_shipped_baseline_config_is_the_library_baseline():
+    config = parse_args(["ramsey-steady", "--config",
+                         str(REPO / "configs" / "baseline.cfg")])
+    assert config.options["params"] == ramsey.BASELINE
+    assert parse_args(["ramsey-steady"]).options["params"] == ramsey.BASELINE

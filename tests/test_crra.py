@@ -77,3 +77,9 @@ def test_arrow_pratt_step_validation():
     with pytest.raises(DomainError):
         arrow_pratt(s, 1.0, h=0.0)
     assert abs(arrow_pratt(s, 1.0, h=1.0e-5) - 2.0) < 1.0e-5
+
+
+def test_arrow_pratt_underflowing_step_is_a_domain_error():
+    # h = 1e-304: h*h underflows to zero, which must not divide
+    with pytest.raises(DomainError):
+        arrow_pratt(CrraSpec(theta=1.0), 1.0e-300)

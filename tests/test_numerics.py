@@ -154,3 +154,10 @@ def test_bisect_requires_sign_change():
 def test_bisect_iteration_cap():
     with pytest.raises(ConvergenceError):
         bisect(math.cos, 1.0, 2.0, tol=1.0e-13, max_iter=3)
+
+
+def test_bisect_stops_at_adjacent_floats():
+    # a tolerance below one ulp of the root cannot be met by halving;
+    # the bracket collapses onto two neighbouring floats instead
+    root = bisect(math.cos, 1.0, 2.0, tol=1.0e-300)
+    assert abs(root - math.pi / 2.0) < 1.0e-15

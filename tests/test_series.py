@@ -57,3 +57,11 @@ def test_sin_difference_identity_residual_is_tiny():
     for _ in range(100):
         a, b = rng.uniform(-8.0, 8.0, 2)
         assert sin_diff_identity_residual(float(a), float(b)) < 1.0e-11
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_argument_is_a_domain_error(x):
+    spec = TaylorSpec(8)
+    for fn in (sin_taylor, cos_taylor, exp_i_taylor):
+        with pytest.raises(DomainError):
+            fn(x, spec)
