@@ -28,7 +28,7 @@ from .ramsey import (BASELINE, HouseholdPath, LinearizedSystem, RamseyParams,
                      household_path_from_trajectory, is_diagonalizable,
                      jacobian_closed, linearize, linearized_solution,
                      production, production_mp, rhs, saddle_path_linear,
-                     shoot_nonlinear, simulate, steady_state,
+                     shoot_nonlinear, shoot_reverse, simulate, steady_state,
                      transversality_check, wage)
 from .series import (TaylorSpec, cos_taylor, exp_i_taylor,
                      sin_diff_identity_residual, sin_taylor)

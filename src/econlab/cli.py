@@ -176,8 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k0-frac", type=float, default=0.5,
                    help="initial capital as a fraction of k* (default 0.5)")
     s.add_argument("--tol", type=float, default=1.0e-8)
-    s.add_argument("--t-max", type=float, default=500.0)
-    s.add_argument("--dt", type=float, default=0.05)
 
     s = subs.add_parser("ramsey-simulate", help="trajectory CSV / phase SVG")
     _add_ramsey_options(s)
@@ -370,8 +368,7 @@ def _cmd_ramsey_saddle(opt):
     ss = ramsey.steady_state(p)
     k0 = opt["k0"] if opt["k0"] is not None else opt["k0_frac"] * ss.k_star
     c0_linear = ramsey.saddle_path_linear(p, k0)
-    c0_shoot = ramsey.shoot_nonlinear(p, k0, opt["tol"], opt["t_max"],
-                                      dt=opt["dt"])
+    c0_shoot = ramsey.shoot_reverse(p, k0, opt["tol"])
     gap = abs(c0_linear - c0_shoot) / c0_shoot
     _emit([
         f"k0 = {fmt(k0)}",

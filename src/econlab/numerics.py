@@ -157,11 +157,13 @@ def cumulative_simpson(samples, dt) -> np.ndarray:
         raise DomainError("dt must be positive")
     n = f.size
     out = np.zeros(n)
-    # pairs of intervals [2m, 2m+2]
+    # pairs of intervals [2m, 2m+2]: whole panels accumulate along the
+    # even nodes, each odd node is its panel's start plus a half panel
     even_end = n - 1 if (n - 1) % 2 == 0 else n - 2
-    for m in range(0, even_end, 2):
-        out[m + 1] = out[m] + dt / 12.0 * (5.0 * f[m] + 8.0 * f[m + 1] - f[m + 2])
-        out[m + 2] = out[m] + dt / 3.0 * (f[m] + 4.0 * f[m + 1] + f[m + 2])
+    f0, f1, f2 = f[0:even_end:2], f[1:even_end:2], f[2:even_end + 1:2]
+    out[2:even_end + 1:2] = np.cumsum(dt / 3.0 * (f0 + 4.0 * f1 + f2))
+    out[1:even_end:2] = out[0:even_end - 1:2] + dt / 12.0 * (
+        5.0 * f0 + 8.0 * f1 - f2)
     if even_end != n - 1:
         # odd interval count: close the last interval backward
         out[n - 1] = out[n - 2] + dt / 12.0 * (

@@ -1,6 +1,7 @@
 """Ramsey growth model in log coordinates: steady state, linearization,
-saddle path by shooting, and the household-side optimality diagnostics
-(first-order conditions, budget identity, transversality).
+saddle path by reverse and forward shooting, and the household-side
+optimality diagnostics (first-order conditions, budget identity,
+transversality).
 
 State is (log k, log c) with k, c per unit of effective labor.  The
 capital row of the vector field is output minus consumption minus
@@ -19,7 +20,7 @@ from .errors import (BracketError, ComplexSpectrumError, ConvergenceError,
                      StabilityStructureError)
 from .matgeo import EigenDecomp2, MatrixComplex, _canonical, _null_vector
 from .numerics import (Grid, Trajectory, bisect, central_diff_gradient,
-                       cumulative_simpson, simpson_samples)
+                       cumulative_simpson, rk4_integrate, simpson_samples)
 
 # log-deviation from the steady state beyond which a path is classified
 # as blown up (consumed by the shooting bisection)
@@ -356,17 +357,12 @@ def simulate(p: RamseyParams, k0: float, c0: float, grid: Grid) -> Trajectory:
         side=side, partial=partial)
 
 
-def shoot_nonlinear(p: RamseyParams, k0: float, tol: float,
-                    t_max: float = 500.0, dt: float = 0.05) -> float:
-    """Saddle-path initial consumption by bisection on c0.
-
-    Each trial integrates forward until the blow-up classifier fires:
-    c-side means c0 was too high, k-side too low.  The bracket starts
-    at [1e-6, production(k0)] and narrows until its width is <= tol.
-    """
+def _shooting_setup(p: RamseyParams, k0: float, tol: float):
+    """Eigen-decomposition and steady state for a saddle-path solve,
+    after the checks both shooting methods share: a saddle, k0 within
+    [0.05, 5] x k*, a positive tol."""
     d = eigen_closed(p)
     _require_saddle(d)
-    slope = d.v2[1] / d.v2[0]
     ss = steady_state(p)
     if not 0.05 * ss.k_star <= k0 <= 5.0 * ss.k_star:
         raise DomainError(
@@ -374,6 +370,72 @@ def shoot_nonlinear(p: RamseyParams, k0: float, tol: float,
             f"{5.0 * ss.k_star:.6g}], got {k0}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
+    return d, ss
+
+
+# reverse shooting: offset of the start point from the steady state
+# along v2, and the most RK4 steps it doubles up to
+_ARM_EPS = 1.0e-6
+_REVERSE_MAX_STEPS = 2 ** 16
+
+
+def shoot_reverse(p: RamseyParams, k0: float, tol: float) -> float:
+    """Saddle-path initial consumption by reverse shooting along the
+    stable arm (Judd 1998, ch. 10.7; Brunner & Strulik 2002).
+
+    Starts on the linear arm at ss + 1e-6 v2, on k0's side of k*, and
+    integrates the time-eliminated arm d log c / d log k = (d log c/dt)
+    / (d log k/dt) with RK4 in log k, so the integration ends exactly
+    at log k0: no bracket, horizon or interpolation.  The step count
+    starts at 8 and doubles until two successive answers differ by at
+    most tol (absolute on c0) or the difference stops shrinking (the
+    roundoff floor); past 2^16 steps it raises ConvergenceError.
+    Within 1e-6 of log k* the linear arm is returned.
+    """
+    d, ss = _shooting_setup(p, k0, tol)
+    dist = math.log(k0) - ss.log_k_star
+    if abs(dist) <= _ARM_EPS:
+        return saddle_path_linear(p, k0)
+    offset = math.copysign(_ARM_EPS, dist * d.v2[0])
+    lk_start = ss.log_k_star + offset * d.v2[0]
+    lc_start = ss.log_c_star + offset * d.v2[1]
+    span = math.log(k0) - lk_start
+    sign = math.copysign(1.0, span)
+    f = _field(p)
+
+    def arm_slope(x, lc):
+        # x is the distance travelled in log k from lk_start
+        dk, dc = f(lk_start + sign * x, lc[0])
+        return sign * dc / dk
+
+    prev = prev_gap = None
+    steps = 8
+    while steps <= _REVERSE_MAX_STEPS:
+        traj = rk4_integrate(arm_slope, lc_start, Grid(0.0, abs(span), steps))
+        c0 = math.exp(traj.states[-1, 0])
+        if prev is not None:
+            gap = abs(c0 - prev)
+            if gap <= tol or (prev_gap is not None and gap >= prev_gap):
+                return c0
+            prev_gap = gap
+        prev = c0
+        steps *= 2
+    raise ConvergenceError(
+        f"reverse shooting not converged: c0 still moves by {prev_gap:.3e} "
+        f"at {_REVERSE_MAX_STEPS} RK4 steps, tol {tol:.3e}")
+
+
+def shoot_nonlinear(p: RamseyParams, k0: float, tol: float,
+                    t_max: float = 500.0, dt: float = 0.05) -> float:
+    """Saddle-path initial consumption by forward bisection on c0, the
+    independent reference for shoot_reverse.
+
+    Each trial integrates forward until the blow-up classifier fires:
+    c-side means c0 was too high, k-side too low.  The bracket starts
+    at [1e-6, production(k0)] and narrows until its width is <= tol.
+    """
+    d, ss = _shooting_setup(p, k0, tol)
+    slope = d.v2[1] / d.v2[0]
     if t_max <= 0.0 or dt <= 0.0:
         raise DomainError("t_max and dt must be positive")
     lks, lcs = ss.log_k_star, ss.log_c_star
@@ -623,7 +685,7 @@ def verify(p: RamseyParams) -> list[Check]:
 
     k0 = 0.5 * ss.k_star
     c0_lin = saddle_path_linear(p, k0)
-    c0_shoot = shoot_nonlinear(p, k0, 1.0e-10)
+    c0_shoot = shoot_reverse(p, k0, 1.0e-10)
     gap = abs(c0_lin - c0_shoot) / c0_shoot
     checks.append(Check("linear arm vs shooting c0 within 2%", gap < 0.02,
                         f"gap {gap:.3e}"))

@@ -12,7 +12,8 @@ import pytest
 from econlab import ramsey
 from econlab.cli import (BASELINE_CONFIG, fmt, main, parse_args,
                          parse_kv_config)
-from econlab.errors import DomainError
+from econlab.errors import DivergenceError, DomainError
+from econlab.numerics import Grid
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -240,6 +241,23 @@ def test_ramsey_saddle_tolerance_below_one_ulp(capsys):
 
     tight, loose = c0("1e-16"), c0("1e-12")
     assert abs(tight - loose) <= 1.0e-12 * loose
+
+
+def test_ramsey_saddle_far_above_steady_state(capsys):
+    # the saddle consumption at 5 k* exceeds output there, above the top
+    # of forward shooting's bracket
+    code, out, _ = run_cli(capsys, "ramsey-saddle", "--k0-frac=5")
+    assert code == 0
+    lines = dict(line.split(" = ") for line in out.strip().splitlines())
+    p = ramsey.BASELINE
+    ss = ramsey.steady_state(p)
+    try:
+        traj = ramsey.simulate(p, float(lines["k0"]), float(lines["c0_shooting"]),
+                               Grid(0.0, 200.0, 4000))
+    except DivergenceError as exc:
+        traj = exc.partial
+    dev = np.abs(traj.states - [ss.log_k_star, ss.log_c_star]).max(axis=1)
+    assert dev.min() < 1.0e-3
 
 
 def test_crra_underflowing_step_exits_domain(capsys):

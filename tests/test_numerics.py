@@ -115,6 +115,26 @@ def test_cumulative_simpson_final_value_matches_simpson():
     assert abs(out[-1] - simpson(lambda x: math.exp(-x * x), 0.0, 1.0, 100)) < 1.0e-12
 
 
+def test_cumulative_simpson_equals_the_panel_loop():
+    def panel_loop(f, dt):
+        n = f.size
+        out = np.zeros(n)
+        even_end = n - 1 if (n - 1) % 2 == 0 else n - 2
+        for m in range(0, even_end, 2):
+            out[m + 1] = out[m] + dt / 12.0 * (5.0 * f[m] + 8.0 * f[m + 1] - f[m + 2])
+            out[m + 2] = out[m] + dt / 3.0 * (f[m] + 4.0 * f[m + 1] + f[m + 2])
+        if even_end != n - 1:
+            out[n - 1] = out[n - 2] + dt / 12.0 * (
+                -f[n - 3] + 8.0 * f[n - 2] + 5.0 * f[n - 1])
+        return out
+
+    rng = np.random.default_rng(3)
+    for n in range(3, 61):
+        f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        dt = rng.uniform(0.01, 1.0)
+        assert np.array_equal(cumulative_simpson(f, dt), panel_loop(f, dt))
+
+
 def test_cumulative_simpson_validation():
     with pytest.raises(DomainError):
         cumulative_simpson(np.array([1.0, 2.0]), 0.1)

@@ -1,5 +1,6 @@
 """Growth model: steady state, linearization, shooting, household checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from econlab import (BASELINE, BracketError, DivergenceError, DomainError,
                      hamiltonian, household_path_from_trajectory,
                      is_diagonalizable, jacobian_closed, linearize,
                      linearized_solution, production, production_mp, rhs,
-                     saddle_path_linear, shoot_nonlinear, simulate,
-                     steady_state, transversality_check, wage)
+                     saddle_path_linear, shoot_nonlinear, shoot_reverse,
+                     simulate, steady_state, transversality_check, wage)
 
 
 def random_params(rng):
@@ -208,6 +209,60 @@ def test_shoot_nonlinear_domain_and_bracket_errors():
     # production-capped bracket cannot straddle it
     with pytest.raises(BracketError):
         shoot_nonlinear(p, 5.0 * ss.k_star, 1.0e-6)
+
+
+def test_shoot_reverse_agrees_with_forward_shooting():
+    p = BASELINE
+    ss = steady_state(p)
+    for frac in (0.05, 0.5, 2.0):
+        k0 = frac * ss.k_star
+        ref = shoot_nonlinear(p, k0, 1.0e-10)
+        assert abs(shoot_reverse(p, k0, 1.0e-10) - ref) <= 1.0e-8 * ref
+
+
+def test_shoot_reverse_on_a_slow_stable_arm():
+    # alpha = 0.9 puts 1/|lambda2| so far out that forward shooting's
+    # trials run past its t_max = 500 horizon (HorizonError)
+    p = dataclasses.replace(BASELINE, alpha=0.9)
+    ss = steady_state(p)
+    k0 = 0.5 * ss.k_star
+    c0 = shoot_reverse(p, k0, 1.0e-10)
+    assert math.isfinite(c0)
+    assert 0.0 < c0 < ss.c_star
+    assert abs(c0 - saddle_path_linear(p, k0)) / c0 < 0.02
+
+
+def test_shoot_reverse_domain_errors_and_steady_state():
+    p = BASELINE
+    ss = steady_state(p)
+    for k0, tol in ((0.01 * ss.k_star, 1.0e-6), (5.5 * ss.k_star, 1.0e-6),
+                    (0.5 * ss.k_star, 0.0), (0.5 * ss.k_star, math.nan)):
+        with pytest.raises(DomainError):
+            shoot_reverse(p, k0, tol)
+    assert shoot_reverse(p, ss.k_star, 1.0e-10) == saddle_path_linear(p, ss.k_star)
+
+
+def test_shoot_reverse_far_above_steady_state_matches_solve_ivp():
+    integrate = pytest.importorskip("scipy.integrate")
+    p = BASELINE
+    ss = steady_state(p)
+    v = eigen_closed(p).v2
+    lk0 = math.log(5.0 * ss.k_star)
+    eps = 1.0e-7 * math.copysign(1.0, v[0])
+
+    def field(t, y):
+        return rhs(p, y[0], y[1])
+
+    def reached(t, y):
+        return y[0] - lk0
+
+    reached.terminal = True
+    # the stable arm run backward in time leaves the steady state
+    sol = integrate.solve_ivp(
+        field, (0.0, -2000.0), [ss.log_k_star + eps * v[0], ss.log_c_star + eps * v[1]],
+        method="DOP853", rtol=1.0e-12, atol=1.0e-14, events=reached)
+    ref = math.exp(sol.y_events[0][0][1])
+    assert abs(shoot_reverse(p, 5.0 * ss.k_star, 1.0e-10) - ref) <= 1.0e-8 * ref
 
 
 def test_prices_from_firm_conditions():
