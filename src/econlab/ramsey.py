@@ -9,6 +9,7 @@ effective depreciation; the consumption row is the Euler equation.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,10 @@ from .errors import (BracketError, ComplexSpectrumError, ConvergenceError,
                      StabilityStructureError)
 from .matgeo import EigenDecomp2, MatrixComplex, _canonical, _null_vector
 from .numerics import (Grid, Trajectory, bisect, central_diff_gradient,
-                       cumulative_simpson, rk4_integrate, simpson_samples)
+                       cumulative_simpson, simpson_samples)
 
 # log-deviation from the steady state beyond which a path is classified
-# as blown up (consumed by the shooting bisection)
+# as blown up (by simulate and the shooting bisection)
 _BLOWUP_DEV = 5.0
 
 
@@ -258,63 +259,58 @@ def _field(p: RamseyParams):
     return f
 
 
-def _classify_side(dk, dc, slope):
-    """Which side of the stable arm a blown-up state sits on.
+def _march(f, lk, lc, h, nsteps, centre=None, record=None):
+    """Fixed-step RK4 on the scalar pair (lk, lc): the one integrator
+    behind simulate and both shooting methods.
 
-    The arm through the steady state has log-consumption deviation
-    slope * dk, so the sign of dc - slope * dk separates trajectories
-    whose consumption started too high (c-side, capital crashes) from
-    too low (k-side, consumption collapses).  Comparing dc against the
-    arm rather than against zero stays correct when k0 is far above
-    k*, where a too-generous c0 drags log k across the threshold while
-    log c is still below its steady-state value.
+    Appends each state inside the box, the start state included, to
+    `record` when given.  Stops at the first state that is non-finite
+    or, with a `centre`, more than _BLOWUP_DEV from it in either
+    component; the start state counts as step 0.  Returns (step, last,
+    out): the step that stopped (nsteps if none did), the last state
+    inside the box (the start state if it is already outside) and the
+    state that left it (None if none did).
     """
-    return "c-side" if dc - slope * dk > 0.0 else "k-side"
-
-
-def _march(f, lk, lc, h, nsteps, lks, lcs, slope, record):
-    """Fixed-step RK4 on the scalar pair (lk, lc).
-
-    Appends states to `record` when given.  Returns
-    (side, step_index, component, direction, rows_kept) at blow-up, or
-    None if all steps complete.  Blow-up means a log deviation from
-    (lks, lcs) beyond _BLOWUP_DEV, or a non-finite state.
-    """
+    if centre is None:
+        ck = cc = 0.0
+        bound = sys.float_info.max  # finiteness only
+    else:
+        (ck, cc), bound = centre, _BLOWUP_DEV
+    if not (abs(lk - ck) <= bound and abs(lc - cc) <= bound):
+        return 0, (lk, lc), (lk, lc)
+    if record is not None:
+        record.append((lk, lc))
     half = 0.5 * h
     sixth = h / 6.0
-    for j in range(nsteps):
+    for j in range(1, nsteps + 1):
         d1k, d1c = f(lk, lc)
         d2k, d2c = f(lk + half * d1k, lc + half * d1c)
         d3k, d3c = f(lk + half * d2k, lc + half * d2c)
         d4k, d4c = f(lk + h * d3k, lc + h * d3c)
         nlk = lk + sixth * (d1k + 2.0 * (d2k + d3k) + d4k)
         nlc = lc + sixth * (d1c + 2.0 * (d2c + d3c) + d4c)
-        if not (math.isfinite(nlk) and math.isfinite(nlc)):
-            # classify from the last finite state, drop the bad row
-            dk, dc = lk - lks, lc - lcs
-            side = _classify_side(dk, dc, slope)
-            comp = 0 if abs(dk) >= abs(dc) else 1
-            direction = math.copysign(1.0, dk if comp == 0 else dc)
-            return side, j + 1, comp, direction, j + 1
+        if not (abs(nlk - ck) <= bound and abs(nlc - cc) <= bound):
+            return j, (lk, lc), (nlk, nlc)
         lk, lc = nlk, nlc
-        dk, dc = lk - lks, lc - lcs
-        if abs(dk) > _BLOWUP_DEV or abs(dc) > _BLOWUP_DEV:
-            side = _classify_side(dk, dc, slope)
-            comp = 0 if abs(dk) >= abs(dc) else 1
-            direction = math.copysign(1.0, dk if comp == 0 else dc)
-            # keep the trigger row only while it stays representable:
-            # one step near blow-up can overshoot by hundreds of log
-            # units, which downstream exponentials cannot absorb
-            kept = j + 2
-            if record is not None and abs(dk) <= 10.0 * _BLOWUP_DEV \
-                    and abs(dc) <= 10.0 * _BLOWUP_DEV:
-                record.append((lk, lc))
-            else:
-                kept = j + 1
-            return side, j + 1, comp, direction, kept
         if record is not None:
             record.append((lk, lc))
-    return None
+    return nsteps, (lk, lc), None
+
+
+def _blowup(last, centre, slope):
+    """(side, component, direction) of a path that left the box around
+    `centre`, read from `last`, its last state inside: the step that
+    crossed can overshoot by hundreds of log units, and the clipped
+    exponentials then throw log k to the wrong sign.  The side is the
+    sign of dc - slope * dk against the arm through the centre, which
+    stays right where a too-generous c0 far above k* crashes capital
+    with log c still below log c*: c-side (consumption too high,
+    capital crashes) or k-side (too low, consumption collapses).
+    """
+    dk, dc = last[0] - centre[0], last[1] - centre[1]
+    side = "c-side" if dc - slope * dk > 0.0 else "k-side"
+    comp = 0 if abs(dk) >= abs(dc) else 1
+    return side, comp, math.copysign(1.0, dk if comp == 0 else dc)
 
 
 def simulate(p: RamseyParams, k0: float, c0: float, grid: Grid) -> Trajectory:
@@ -330,31 +326,27 @@ def simulate(p: RamseyParams, k0: float, c0: float, grid: Grid) -> Trajectory:
         raise DomainError(f"c0 must be positive, got {c0}")
     ss = steady_state(p)
     d = eigen_closed(p)
-    slope = d.v2[1] / d.v2[0]
-    lks, lcs = ss.log_k_star, ss.log_c_star
-    lk, lc = math.log(k0), math.log(c0)
-    if abs(lk - lks) > _BLOWUP_DEV or abs(lc - lcs) > _BLOWUP_DEV:
-        side = _classify_side(lk - lks, lc - lcs, slope)
-        raise DivergenceError(
-            f"initial state already beyond the blow-up threshold ({side})",
-            step_index=0, component=0 if abs(lk - lks) >= abs(lc - lcs) else 1,
-            direction=math.copysign(1.0, (lk - lks) if abs(lk - lks) >= abs(lc - lcs)
-                                    else (lc - lcs)),
-            side=side)
-    record = [(lk, lc)]
-    hit = _march(_field(p), lk, lc, grid.h, grid.steps, lks, lcs, slope, record)
+    centre = (ss.log_k_star, ss.log_c_star)
+    record = []
+    step, last, out = _march(_field(p), math.log(k0), math.log(c0),
+                             grid.h, grid.steps, centre, record)
     labels = ("log_k", "log_c")
-    if hit is None:
+    if out is None:
         return Trajectory(grid, np.array(record), labels)
-    side, step, comp, direction, kept = hit
-    partial = None
-    if kept >= 2:
-        sub = Grid(grid.t0, grid.t0 + (kept - 1) * grid.h, kept - 1)
-        partial = Trajectory(sub, np.array(record[:kept]), labels)
-    raise DivergenceError(
-        f"trajectory blew up at step {step} ({side}, component {comp})",
-        step_index=step, component=comp, direction=direction,
-        side=side, partial=partial)
+    side, comp, direction = _blowup(last, centre, d.v2[1] / d.v2[0])
+    # keep the crossing state only while it stays representable: one
+    # step near blow-up can overshoot by hundreds of log units, which
+    # downstream exponentials cannot absorb
+    if all(abs(x - c) <= 10.0 * _BLOWUP_DEV for x, c in zip(out, centre)):
+        record.append(out)
+    n = len(record) - 1
+    partial = (Trajectory(Grid(grid.t0, grid.t0 + n * grid.h, n),
+                          np.array(record), labels) if n >= 1 else None)
+    message = (f"trajectory blew up at step {step} ({side}, component {comp})"
+               if step else
+               f"initial state already beyond the blow-up threshold ({side})")
+    raise DivergenceError(message, step_index=step, component=comp,
+                          direction=direction, side=side, partial=partial)
 
 
 def _shooting_setup(p: RamseyParams, k0: float, tol: float):
@@ -384,12 +376,13 @@ def shoot_reverse(p: RamseyParams, k0: float, tol: float) -> float:
     stable arm (Judd 1998, ch. 10.7; Brunner & Strulik 2002).
 
     Starts on the linear arm at ss + 1e-6 v2, on k0's side of k*, and
-    integrates the time-eliminated arm d log c / d log k = (d log c/dt)
-    / (d log k/dt) with RK4 in log k, so the integration ends exactly
-    at log k0: no bracket, horizon or interpolation.  The step count
-    starts at 8 and doubles until two successive answers differ by at
-    most tol (absolute on c0) or the difference stops shrinking (the
-    roundoff floor); past 2^16 steps it raises ConvergenceError.
+    steps the time-eliminated arm d log c / d log k = (d log c/dt)
+    / (d log k/dt) in log k with _march, the RK4 stepper of simulate,
+    so the integration ends exactly at log k0: no bracket, horizon or
+    interpolation.  The step count starts at 8 and doubles until two
+    successive answers differ by at most tol (absolute on c0) or the
+    difference stops shrinking (the roundoff floor); past 2^16 steps it
+    raises ConvergenceError.
     Within 1e-6 of log k* the linear arm is returned.
     """
     d, ss = _shooting_setup(p, k0, tol)
@@ -403,16 +396,20 @@ def shoot_reverse(p: RamseyParams, k0: float, tol: float) -> float:
     sign = math.copysign(1.0, span)
     f = _field(p)
 
-    def arm_slope(x, lc):
-        # x is the distance travelled in log k from lk_start
-        dk, dc = f(lk_start + sign * x, lc[0])
-        return sign * dc / dk
+    def arm(lk, lc):
+        # the arm as a planar system in x, the distance travelled in log k
+        dk, dc = f(lk, lc)
+        return sign, sign * dc / dk
 
     prev = prev_gap = None
     steps = 8
     while steps <= _REVERSE_MAX_STEPS:
-        traj = rk4_integrate(arm_slope, lc_start, Grid(0.0, abs(span), steps))
-        c0 = math.exp(traj.states[-1, 0])
+        step, (_, lc), out = _march(arm, lk_start, lc_start,
+                                    abs(span) / steps, steps)
+        if out is not None:
+            raise DivergenceError(f"reverse shooting diverged at step {step}",
+                                  step, 1, math.copysign(1.0, out[1]))
+        c0 = math.exp(lc)
         if prev is not None:
             gap = abs(c0 - prev)
             if gap <= tol or (prev_gap is not None and gap >= prev_gap):
@@ -438,21 +435,18 @@ def shoot_nonlinear(p: RamseyParams, k0: float, tol: float,
     slope = d.v2[1] / d.v2[0]
     if t_max <= 0.0 or dt <= 0.0:
         raise DomainError("t_max and dt must be positive")
-    lks, lcs = ss.log_k_star, ss.log_c_star
+    centre = (ss.log_k_star, ss.log_c_star)
     lk0 = math.log(k0)
     nsteps = max(1, int(math.ceil(t_max / dt)))
     h = t_max / nsteps
     f = _field(p)
 
     def classify(c0):
-        lc0 = math.log(c0)
-        if abs(lc0 - lcs) > _BLOWUP_DEV or abs(lk0 - lks) > _BLOWUP_DEV:
-            return _classify_side(lk0 - lks, lc0 - lcs, slope)
-        hit = _march(f, lk0, lc0, h, nsteps, lks, lcs, slope, None)
-        if hit is None:
+        _, last, out = _march(f, lk0, math.log(c0), h, nsteps, centre)
+        if out is None:
             raise HorizonError(
                 f"trial c0={c0} not classified within t_max={t_max}")
-        return hit[0]
+        return _blowup(last, centre, slope)[0]
 
     lo, hi = 1.0e-6, production(p, k0)
     if hi <= lo:
@@ -739,8 +733,9 @@ def verify(p: RamseyParams) -> list[Check]:
     checks.append(Check("budget identity residual < 1e-6 relative",
                         bres < 1.0e-6, f"relative residual {bres:.3e}"))
 
-    # the equilibrium asset path must track capital
-    track = float(np.max(np.abs(a - ss.k_star * np.exp(p.alpha_T * t_nodes))))
+    # the equilibrium asset path must track capital, relative to its size
+    capital = ss.k_star * np.exp(p.alpha_T * t_nodes)
+    track = float(np.max(np.abs(a - capital) / capital))
     checks.append(Check("assets_path tracks equilibrium capital < 1e-6",
-                        track < 1.0e-6, f"max gap {track:.3e}"))
+                        track < 1.0e-6, f"max relative gap {track:.3e}"))
     return checks

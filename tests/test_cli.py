@@ -226,6 +226,16 @@ def test_ramsey_verify_passes_baseline(capsys):
     assert lines[-1].endswith("overall")
 
 
+def test_ramsey_verify_scales_the_asset_check_with_capital(capsys):
+    # alpha = 0.9 puts k* at 5.6e8: an absolute 1e-6 bar on assets fails
+    # a path that tracks capital to 3.5e-13 relative
+    code, out, _ = run_cli(capsys, "ramsey-verify", "--alpha=0.9")
+    assert code == 0
+    line = out.strip().splitlines()[-2]
+    assert line.startswith("PASS assets_path tracks equilibrium capital")
+    assert float(line.rstrip(")").split()[-1]) < 1.0e-12
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "det", "--matrix", "1,2;3")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2

@@ -157,6 +157,7 @@ def test_simulate_classifies_overconsumption_as_c_side():
         simulate(p, 0.5 * ss.k_star, 2.0, Grid(0.0, 200.0, 4000))
     err = exc.value
     assert err.side == "c-side"
+    assert (err.component, err.direction) == (0, -1.0)
     assert err.partial is not None
     assert err.partial.states.shape[0] >= 2
     assert np.all(np.diff(err.partial.times) > 0.0)
@@ -168,6 +169,7 @@ def test_simulate_classifies_underconsumption_as_k_side():
     with pytest.raises(DivergenceError) as exc:
         simulate(p, 0.5 * ss.k_star, 0.05, Grid(0.0, 400.0, 8000))
     assert exc.value.side == "k-side"
+    assert (exc.value.component, exc.value.direction) == (1, -1.0)
 
 
 def test_simulate_rejects_start_beyond_threshold():
@@ -177,6 +179,32 @@ def test_simulate_rejects_start_beyond_threshold():
         simulate(p, ss.k_star, ss.c_star * math.exp(6.0), Grid(0.0, 1.0, 10))
     assert exc.value.step_index == 0
     assert exc.value.partial is None
+    assert str(exc.value) == \
+        "initial state already beyond the blow-up threshold (c-side)"
+
+
+# the RK4 step that crosses the blow-up box overshoots here, and the
+# clipped exponentials throw log k to the wrong sign
+OVERSHOOT = RamseyParams(A_tfp=1.4, alpha=0.22, theta=3.9, delta=0.03,
+                         alpha_L=0.009, alpha_T=0.029, rho=0.019)
+
+
+def test_simulate_reads_a_capital_crash_from_the_last_state_inside():
+    p = OVERSHOOT
+    k0 = 0.5 * steady_state(p).k_star
+    c0 = 1.05 * shoot_reverse(p, k0, 1.0e-10)
+    with pytest.raises(DivergenceError) as exc:
+        simulate(p, k0, c0, Grid(0.0, 200.0, 4000))
+    err = exc.value
+    assert (err.side, err.component, err.direction) == ("c-side", 0, -1.0)
+    assert err.step_index == 142
+
+
+def test_shoot_nonlinear_through_overshooting_trials():
+    p = OVERSHOOT
+    k0 = 2.0 * steady_state(p).k_star
+    ref = shoot_reverse(p, k0, 1.0e-12)
+    assert abs(shoot_nonlinear(p, k0, 1.0e-10) - ref) <= 1.0e-8 * ref
 
 
 def test_shoot_nonlinear_baseline_half_k_star():
