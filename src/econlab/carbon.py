@@ -45,10 +45,12 @@ def emissions(p: CarbonParams, t):
 
 def concentration_closed(p: CarbonParams, t):
     """Closed-form stock: homogeneous decay of x0 plus the particular
-    response to exponential emissions."""
+    response to exponential emissions,
+    x0 e^{-ct} + f0 (e^{dt} - e^{-ct}) / (c + d).  No factor grows like
+    e^{(c+d)t}, so the form stays finite wherever e^{dt} does."""
     t = np.asarray(t, dtype=float)
     decay = np.exp(-p.c * t)
-    return p.x0 * decay + p.f0 * decay * (np.exp((p.c + p.d) * t) - 1.0) / (p.c + p.d)
+    return p.x0 * decay + p.f0 * (np.exp(p.d * t) - decay) / (p.c + p.d)
 
 
 def concentration_rhs(p: CarbonParams):

@@ -2,13 +2,14 @@
 
 One subcommand per laboratory operation, numeric output with fixed
 12-significant-digit formatting so repeated runs are byte-identical.
-Exit codes: 0 ok, 2 usage, 3 domain, 4 convergence/divergence, 5 I/O.
+Exit codes: 0 ok, 1 a failing ramsey-verify check, 2 usage, 3 domain,
+4 convergence/divergence, 5 I/O.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -92,14 +93,6 @@ def _load_ramsey_params(ns) -> ramsey.RamseyParams:
     return ramsey.RamseyParams(*(cfg[key] for key in _RAMSEY_KEYS))
 
 
-@dataclass
-class RunConfig:
-    """A validated invocation: the subcommand plus its options."""
-
-    command: str
-    options: dict
-
-
 def _add_ramsey_options(sub):
     sub.add_argument("--config", default="baseline",
                      help="key=value parameter file, or the literal name "
@@ -109,42 +102,52 @@ def _add_ramsey_options(sub):
                          default=None, help=f"override {key}")
 
 
+def _subcommand(subs, name, handler, **kw):
+    s = subs.add_parser(name, **kw)
+    s.set_defaults(run=handler)
+    return s
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="econlab",
         description="Numerical laboratory for growth-theory classroom math.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("det", help="determinant (area) of a square matrix")
+    s = _subcommand(subs, "det", _cmd_det,
+                    help="determinant (area) of a square matrix")
     s.add_argument("--matrix", type=_matrix_arg, required=True,
                    help='rows separated by ";", entries by "," e.g. "3,1;1,4"')
 
-    s = subs.add_parser("eig", help="2x2 eigen-decomposition, optional chain")
+    s = _subcommand(subs, "eig", _cmd_eig,
+                    help="2x2 eigen-decomposition, optional chain")
     s.add_argument("--matrix", type=_matrix_arg, required=True)
     s.add_argument("--vector", type=_vector_arg, default=None,
                    help="apply the diagonalized map to this vector")
 
-    s = subs.add_parser("cramer", help="solve a linear system by Cramer's rule")
+    s = _subcommand(subs, "cramer", _cmd_cramer,
+                    help="solve a linear system by Cramer's rule")
     s.add_argument("--matrix", type=_matrix_arg, required=True)
     s.add_argument("--rhs", type=_vector_arg, required=True)
 
-    s = subs.add_parser("companion",
-                        help="evaluate a monic polynomial as a determinant")
+    s = _subcommand(subs, "companion", _cmd_companion,
+                    help="evaluate a monic polynomial as a determinant")
     s.add_argument("--coeffs", type=_vector_arg, required=True,
                    help="a0,a1,...,a_{n-1} (ascending, leading 1 implied)")
     s.add_argument("--x", type=float, required=True)
 
-    s = subs.add_parser("taylor", help="Maclaurin sin/cos/exp(ix) at a point")
+    s = _subcommand(subs, "taylor", _cmd_taylor,
+                    help="Maclaurin sin/cos/exp(ix) at a point")
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--terms", type=int, default=24)
 
-    s = subs.add_parser("sphere",
-                        help="extrema of x^T A x on the unit sphere")
+    s = _subcommand(subs, "sphere", _cmd_sphere,
+                    help="extrema of x^T A x on the unit sphere")
     s.add_argument("--matrix", type=_matrix_arg, required=True)
     s.add_argument("--tol", type=float, default=1.0e-16)
     s.add_argument("--max-iter", type=int, default=100000)
 
-    s = subs.add_parser("carbon", help="carbon box model CSV")
+    s = _subcommand(subs, "carbon", _cmd_carbon, help="carbon box model CSV")
     s.add_argument("--tau-oc", type=float, default=30.0)
     s.add_argument("--tau-ld", type=float, default=30.0)
     s.add_argument("--f0", type=float, default=10.0)
@@ -154,22 +157,24 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--steps", type=int, default=2000)
     s.add_argument("--output", default=None, help="CSV path (default stdout)")
 
-    s = subs.add_parser("crra", help="CRRA utility, marginal, risk aversion")
+    s = _subcommand(subs, "crra", _cmd_crra,
+                    help="CRRA utility, marginal, risk aversion")
     s.add_argument("--theta", type=float, required=True)
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--k0", type=float, default=1.0)
     s.add_argument("--k1", type=float, default=0.0)
     s.add_argument("--h", type=float, default=None)
 
-    s = subs.add_parser("ramsey-steady", help="closed-form steady state")
+    s = _subcommand(subs, "ramsey-steady", _cmd_ramsey_steady,
+                    help="closed-form steady state")
     _add_ramsey_options(s)
 
-    s = subs.add_parser("ramsey-linearize",
-                        help="Jacobian and eigen-structure at the steady state")
+    s = _subcommand(subs, "ramsey-linearize", _cmd_ramsey_linearize,
+                    help="Jacobian and eigen-structure at the steady state")
     _add_ramsey_options(s)
 
-    s = subs.add_parser("ramsey-saddle",
-                        help="initial consumption: linear arm vs shooting")
+    s = _subcommand(subs, "ramsey-saddle", _cmd_ramsey_saddle,
+                    help="initial consumption: linear arm vs shooting")
     _add_ramsey_options(s)
     s.add_argument("--k0", type=float, default=None,
                    help="initial capital (absolute)")
@@ -177,7 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="initial capital as a fraction of k* (default 0.5)")
     s.add_argument("--tol", type=float, default=1.0e-8)
 
-    s = subs.add_parser("ramsey-simulate", help="trajectory CSV / phase SVG")
+    s = _subcommand(subs, "ramsey-simulate", _cmd_ramsey_simulate,
+                    help="trajectory CSV / phase SVG")
     _add_ramsey_options(s)
     s.add_argument("--k0", type=float, required=True)
     s.add_argument("--c0", type=float, required=True)
@@ -186,34 +192,33 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--output", default=None, help="CSV path (default stdout)")
     s.add_argument("--svg", default=None, help="optional phase-plane SVG path")
 
-    s = subs.add_parser("ramsey-verify",
-                        help="oracle battery: exit 0 iff every check passes")
+    s = _subcommand(subs, "ramsey-verify", _cmd_ramsey_verify,
+                    help="oracle battery: exit 0 iff every check passes")
     _add_ramsey_options(s)
 
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     """Parse and validate; raises SystemExit(2) on usage errors and
-    DomainError (exit 3 via main) on out-of-domain values."""
+    DomainError (exit 3 via main) on out-of-domain values.  The
+    namespace's `run` is the subcommand's handler."""
     ns = _build_parser().parse_args(argv)
-    opts = vars(ns).copy()
-    command = opts.pop("command")
     # validate domains up front so bad inputs never reach dispatch
-    if command == "carbon":
-        opts["params"] = carbon.CarbonParams(
+    if ns.command == "carbon":
+        ns.params = carbon.CarbonParams(
             tau_oc=ns.tau_oc, tau_ld=ns.tau_ld, f0=ns.f0, d=ns.d, x0=ns.x0)
         if ns.t1 <= 0.0 or ns.steps < 1:
             raise DomainError("need t1 > 0 and steps >= 1")
-    elif command == "crra":
-        opts["spec"] = crra.CrraSpec(theta=ns.theta, k0=ns.k0, k1=ns.k1)
+    elif ns.command == "crra":
+        ns.spec = crra.CrraSpec(theta=ns.theta, k0=ns.k0, k1=ns.k1)
         if ns.x <= 0.0:
             raise DomainError(f"consumption must be positive, got {ns.x}")
-    elif command.startswith("ramsey-"):
-        opts["params"] = _load_ramsey_params(ns)
-    elif command == "sphere":
-        opts["matrix"] = spectra.as_symmatn(ns.matrix)
-    return RunConfig(command, opts)
+    elif ns.command.startswith("ramsey-"):
+        ns.params = _load_ramsey_params(ns)
+    elif ns.command == "sphere":
+        ns.matrix = spectra.as_symmatn(ns.matrix)
+    return ns
 
 
 def _emit(lines, path=None):
@@ -225,6 +230,13 @@ def _emit(lines, path=None):
             fh.write(text)
 
 
+def _fields(**values):
+    """One `name = value` line per keyword, in order; a vector's entries
+    are joined by commas."""
+    return [f"{name} = " + ",".join(fmt(v) for v in np.atleast_1d(value))
+            for name, value in values.items()]
+
+
 def _csv_lines(header, columns):
     lines = [",".join(header)]
     for row in zip(*columns):
@@ -233,57 +245,44 @@ def _csv_lines(header, columns):
 
 
 def _cmd_det(opt):
-    m = opt["matrix"]
+    m = opt.matrix
     value = matgeo.det2(m) if m.shape == (2, 2) else matgeo.detN(m)
     _emit([fmt(value)])
     return EXIT_OK
 
 
 def _cmd_eig(opt):
-    d = matgeo.eig2(opt["matrix"])
-    lines = [
-        f"lambda1 = {fmt(d.lambda1)}",
-        f"lambda2 = {fmt(d.lambda2)}",
-        f"v1 = {fmt(d.v1[0])},{fmt(d.v1[1])}",
-        f"v2 = {fmt(d.v2[0])},{fmt(d.v2[1])}",
-    ]
-    if opt["vector"] is not None:
-        new, stretched, y = matgeo.change_of_basis_apply(d, opt["vector"])
-        lines += [
-            f"new_coords = {fmt(new[0])},{fmt(new[1])}",
-            f"stretched = {fmt(stretched[0])},{fmt(stretched[1])}",
-            f"y = {fmt(y[0])},{fmt(y[1])}",
-        ]
+    d = matgeo.eig2(opt.matrix)
+    lines = _fields(lambda1=d.lambda1, lambda2=d.lambda2, v1=d.v1, v2=d.v2)
+    if opt.vector is not None:
+        new, stretched, y = matgeo.change_of_basis_apply(d, opt.vector)
+        lines += _fields(new_coords=new, stretched=stretched, y=y)
     _emit(lines)
     return EXIT_OK
 
 
 def _cmd_cramer(opt):
-    x = matgeo.cramer_solve(opt["matrix"], opt["rhs"])
-    _emit(["x = " + ",".join(fmt(v) for v in x)])
+    _emit(_fields(x=matgeo.cramer_solve(opt.matrix, opt.rhs)))
     return EXIT_OK
 
 
 def _cmd_companion(opt):
-    _emit([fmt(matgeo.companion_det(opt["coeffs"], opt["x"]))])
+    _emit([fmt(matgeo.companion_det(opt.coeffs, opt.x))])
     return EXIT_OK
 
 
 def _cmd_taylor(opt):
-    spec = series.TaylorSpec(opt["terms"])
-    x = opt["x"]
+    spec = series.TaylorSpec(opt.terms)
+    x = opt.x
     e = series.exp_i_taylor(x, spec)
-    _emit([
-        f"sin = {fmt(series.sin_taylor(x, spec))}",
-        f"cos = {fmt(series.cos_taylor(x, spec))}",
-        f"exp_i_re = {fmt(e.re)}",
-        f"exp_i_im = {fmt(e.im)}",
-    ])
+    _emit(_fields(sin=series.sin_taylor(x, spec),
+                  cos=series.cos_taylor(x, spec),
+                  exp_i_re=e.re, exp_i_im=e.im))
     return EXIT_OK
 
 
 def _cmd_sphere(opt):
-    a = opt["matrix"]
+    a = opt.matrix
     start = None
     seed_text = os.environ.get("ECON_MATH_LAB_SEED")
     if seed_text is not None:
@@ -294,88 +293,66 @@ def _cmd_sphere(opt):
                 f"ECON_MATH_LAB_SEED must be an integer, got {seed_text!r}")
         rng = np.random.default_rng(seed)
         start = rng.standard_normal(a.shape[0])
-    res = spectra.sphere_extrema(a, tol=opt["tol"], max_iter=opt["max_iter"],
+    res = spectra.sphere_extrema(a, tol=opt.tol, max_iter=opt.max_iter,
                                  start=start)
-    _emit([
-        f"lambda_min = {fmt(res.lambda_min)}",
-        f"lambda_max = {fmt(res.lambda_max)}",
-        "x_min = " + ",".join(fmt(v) for v in res.x_min),
-        "x_max = " + ",".join(fmt(v) for v in res.x_max),
-        f"residual_min = {fmt(spectra.lagrange_residual(a, res.x_min, res.lambda_min))}",
-        f"residual_max = {fmt(spectra.lagrange_residual(a, res.x_max, res.lambda_max))}",
-    ])
+    _emit(_fields(
+        lambda_min=res.lambda_min, lambda_max=res.lambda_max,
+        x_min=res.x_min, x_max=res.x_max,
+        residual_min=spectra.lagrange_residual(a, res.x_min, res.lambda_min),
+        residual_max=spectra.lagrange_residual(a, res.x_max, res.lambda_max)))
     return EXIT_OK
 
 
 def _cmd_carbon(opt):
-    p = opt["params"]
-    grid = Grid(0.0, opt["t1"], opt["steps"])
+    p = opt.params
+    grid = Grid(0.0, opt.t1, opt.steps)
     t = grid.times
-    closed = carbon.concentration_closed(p, t)
+    # integrate first: a diverging run then ends in DivergenceError before
+    # the closed forms are evaluated at times where e^{dt} overflows
     traj = rk4_integrate(carbon.concentration_rhs(p), p.x0, grid)
+    closed = carbon.concentration_closed(p, t)
     af = carbon.airborne_fraction(p, t)
     af_lim = np.full_like(t, carbon.airborne_fraction_limit(p))
     lines = _csv_lines(
         ["t", "f", "x_closed", "x_rk4", "af", "af_limit"],
         [t, carbon.emissions(p, t), closed, traj.states[:, 0], af, af_lim])
-    _emit(lines, opt["output"])
+    _emit(lines, opt.output)
     return EXIT_OK
 
 
 def _cmd_crra(opt):
-    s = opt["spec"]
-    x = opt["x"]
-    _emit([
-        f"utility = {fmt(crra.utility(s, x))}",
-        f"marginal = {fmt(crra.marginal(s, x))}",
-        f"arrow_pratt = {fmt(crra.arrow_pratt(s, x, opt['h']))}",
-    ])
+    s, x = opt.spec, opt.x
+    _emit(_fields(utility=crra.utility(s, x), marginal=crra.marginal(s, x),
+                  arrow_pratt=crra.arrow_pratt(s, x, opt.h)))
     return EXIT_OK
 
 
 def _cmd_ramsey_steady(opt):
-    p = opt["params"]
+    p = opt.params
     ss = ramsey.steady_state(p)
-    resid = float(np.max(np.abs(ramsey.rhs(p, ss.log_k_star, ss.log_c_star))))
-    _emit([
-        f"k_star = {fmt(ss.k_star)}",
-        f"c_star = {fmt(ss.c_star)}",
-        f"rhs_residual = {fmt(resid)}",
-    ])
+    resid = np.max(np.abs(ramsey.rhs(p, ss.log_k_star, ss.log_c_star)))
+    _emit(_fields(k_star=ss.k_star, c_star=ss.c_star, rhs_residual=resid))
     return EXIT_OK
 
 
 def _cmd_ramsey_linearize(opt):
-    p = opt["params"]
+    p = opt.params
     lin = ramsey.linearize(p)
     j, d = lin.jac, lin.eigen
-    _emit([
-        f"a11 = {fmt(j[0, 0])}",
-        f"a12 = {fmt(j[0, 1])}",
-        f"a21 = {fmt(j[1, 0])}",
-        f"a22 = {fmt(j[1, 1])}",
-        f"lambda1 = {fmt(d.lambda1)}",
-        f"lambda2 = {fmt(d.lambda2)}",
-        f"v1 = {fmt(d.v1[0])},{fmt(d.v1[1])}",
-        f"v2 = {fmt(d.v2[0])},{fmt(d.v2[1])}",
-        f"diagonalizable = {ramsey.is_diagonalizable(p)}",
-    ])
+    _emit(_fields(a11=j[0, 0], a12=j[0, 1], a21=j[1, 0], a22=j[1, 1],
+                  lambda1=d.lambda1, lambda2=d.lambda2, v1=d.v1, v2=d.v2)
+          + [f"diagonalizable = {ramsey.is_diagonalizable(p)}"])
     return EXIT_OK
 
 
 def _cmd_ramsey_saddle(opt):
-    p = opt["params"]
+    p = opt.params
     ss = ramsey.steady_state(p)
-    k0 = opt["k0"] if opt["k0"] is not None else opt["k0_frac"] * ss.k_star
+    k0 = opt.k0 if opt.k0 is not None else opt.k0_frac * ss.k_star
     c0_linear = ramsey.saddle_path_linear(p, k0)
-    c0_shoot = ramsey.shoot_reverse(p, k0, opt["tol"])
-    gap = abs(c0_linear - c0_shoot) / c0_shoot
-    _emit([
-        f"k0 = {fmt(k0)}",
-        f"c0_linear = {fmt(c0_linear)}",
-        f"c0_shooting = {fmt(c0_shoot)}",
-        f"relative_gap = {fmt(gap)}",
-    ])
+    c0_shoot = ramsey.shoot_reverse(p, k0, opt.tol)
+    _emit(_fields(k0=k0, c0_linear=c0_linear, c0_shooting=c0_shoot,
+                  relative_gap=abs(c0_linear - c0_shoot) / c0_shoot))
     return EXIT_OK
 
 
@@ -389,20 +366,20 @@ def _trajectory_csv(p, traj):
 
 
 def _cmd_ramsey_simulate(opt):
-    p = opt["params"]
-    grid = Grid(0.0, opt["t1"], opt["steps"])
+    p = opt.params
+    grid = Grid(0.0, opt.t1, opt.steps)
     code = EXIT_OK
     message = None
     try:
-        traj = ramsey.simulate(p, opt["k0"], opt["c0"], grid)
+        traj = ramsey.simulate(p, opt.k0, opt.c0, grid)
     except DivergenceError as exc:
         traj = exc.partial
         message = str(exc)
         code = EXIT_CONVERGENCE
     if traj is not None:
-        _emit(_trajectory_csv(p, traj), opt["output"])
-        if opt["svg"] is not None:
-            render_phase_svg([traj], ramsey.steady_state(p), opt["svg"],
+        _emit(_trajectory_csv(p, traj), opt.output)
+        if opt.svg is not None:
+            render_phase_svg([traj], ramsey.steady_state(p), opt.svg,
                              params=p)
     if message is not None:
         print(message, file=sys.stderr)
@@ -410,7 +387,7 @@ def _cmd_ramsey_simulate(opt):
 
 
 def _cmd_ramsey_verify(opt):
-    checks = ramsey.verify(opt["params"])
+    checks = ramsey.verify(opt.params)
     all_ok = all(c.passed for c in checks)
     _emit([f"{'PASS' if c.passed else 'FAIL'} {c.name} ({c.detail})"
            for c in checks]
@@ -418,31 +395,10 @@ def _cmd_ramsey_verify(opt):
     return EXIT_OK if all_ok else 1
 
 
-_HANDLERS = {
-    "det": _cmd_det,
-    "eig": _cmd_eig,
-    "cramer": _cmd_cramer,
-    "companion": _cmd_companion,
-    "taylor": _cmd_taylor,
-    "sphere": _cmd_sphere,
-    "carbon": _cmd_carbon,
-    "crra": _cmd_crra,
-    "ramsey-steady": _cmd_ramsey_steady,
-    "ramsey-linearize": _cmd_ramsey_linearize,
-    "ramsey-saddle": _cmd_ramsey_saddle,
-    "ramsey-simulate": _cmd_ramsey_simulate,
-    "ramsey-verify": _cmd_ramsey_verify,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a validated RunConfig; returns the process exit code."""
-    return _HANDLERS[config.command](config.options)
-
-
 def main(argv=None) -> int:
     try:
-        return run(parse_args(sys.argv[1:] if argv is None else argv))
+        ns = parse_args(sys.argv[1:] if argv is None else argv)
+        return ns.run(ns)
     except SystemExit as exc:  # argparse usage failure
         return EXIT_USAGE if exc.code else EXIT_OK
     except (EconLabError, OSError) as exc:

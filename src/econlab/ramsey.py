@@ -55,11 +55,26 @@ class RamseyParams:
                 raise DomainError(f"{name} must be positive, got {v}")
         if self.alpha >= 1.0:
             raise DomainError(f"alpha must be below 1, got {self.alpha}")
-        eff = self.rho - self.alpha_L - (1.0 - self.theta) * self.alpha_T
+        eff = _eff_discount(self)
         if eff <= 0.0:
             raise InfeasibleParametersError(
                 "effective discount rate rho - alpha_L - (1-theta)*alpha_T "
                 f"must be positive, got {eff}")
+
+
+def _mp_target(p: RamseyParams) -> float:
+    # steady-state marginal product: delta + rho + theta * alpha_T
+    return p.delta + p.rho + p.theta * p.alpha_T
+
+
+def _eff_dep(p: RamseyParams) -> float:
+    # effective depreciation of k: delta + alpha_L + alpha_T
+    return p.delta + p.alpha_L + p.alpha_T
+
+
+def _eff_discount(p: RamseyParams) -> float:
+    # effective discount rate: rho - alpha_L - (1 - theta) * alpha_T
+    return p.rho - p.alpha_L - (1.0 - p.theta) * p.alpha_T
 
 
 #: illustrative classroom calibration, not an estimate of anything
@@ -98,16 +113,6 @@ class SteadyState:
         return math.log(self.c_star)
 
 
-def _mp_target(p: RamseyParams) -> float:
-    # steady-state marginal product: delta + rho + theta * alpha_T
-    return p.delta + p.rho + p.theta * p.alpha_T
-
-
-def _eff_dep(p: RamseyParams) -> float:
-    # effective depreciation of k: delta + alpha_L + alpha_T
-    return p.delta + p.alpha_L + p.alpha_T
-
-
 def steady_state(p: RamseyParams) -> SteadyState:
     """Closed-form rest point of the vector field.
 
@@ -141,7 +146,7 @@ def rhs(p: RamseyParams, log_k: float, log_c: float) -> np.ndarray:
 
 def jacobian_closed(p: RamseyParams) -> np.ndarray:
     """Jacobian of the vector field at the steady state, closed form."""
-    a11 = p.rho - p.alpha_L - (1.0 - p.theta) * p.alpha_T
+    a11 = _eff_discount(p)
     a12 = _eff_dep(p) - _mp_target(p) / p.alpha
     a21 = (p.alpha - 1.0) / p.theta * _mp_target(p)
     return np.array([[a11, a12], [a21, 0.0]])
@@ -422,30 +427,33 @@ def shoot_reverse(p: RamseyParams, k0: float, tol: float) -> float:
         f"at {_REVERSE_MAX_STEPS} RK4 steps, tol {tol:.3e}")
 
 
-def shoot_nonlinear(p: RamseyParams, k0: float, tol: float,
-                    t_max: float = 500.0, dt: float = 0.05) -> float:
+# forward shooting's horizon and RK4 step: 10000 steps per trial
+_SHOOT_T_MAX = 500.0
+_SHOOT_DT = 0.05
+
+
+def shoot_nonlinear(p: RamseyParams, k0: float, tol: float) -> float:
     """Saddle-path initial consumption by forward bisection on c0, the
     independent reference for shoot_reverse.
 
     Each trial integrates forward until the blow-up classifier fires:
-    c-side means c0 was too high, k-side too low.  The bracket starts
+    c-side means c0 was too high, k-side too low.  A trial still
+    unclassified at _SHOOT_T_MAX raises HorizonError.  The bracket starts
     at [1e-6, production(k0)] and narrows until its width is <= tol.
     """
     d, ss = _shooting_setup(p, k0, tol)
     slope = d.v2[1] / d.v2[0]
-    if t_max <= 0.0 or dt <= 0.0:
-        raise DomainError("t_max and dt must be positive")
     centre = (ss.log_k_star, ss.log_c_star)
     lk0 = math.log(k0)
-    nsteps = max(1, int(math.ceil(t_max / dt)))
-    h = t_max / nsteps
+    nsteps = int(math.ceil(_SHOOT_T_MAX / _SHOOT_DT))
+    h = _SHOOT_T_MAX / nsteps
     f = _field(p)
 
     def classify(c0):
         _, last, out = _march(f, lk0, math.log(c0), h, nsteps, centre)
         if out is None:
             raise HorizonError(
-                f"trial c0={c0} not classified within t_max={t_max}")
+                f"trial c0={c0} not classified within t_max={_SHOOT_T_MAX}")
         return _blowup(last, centre, slope)[0]
 
     lo, hi = 1.0e-6, production(p, k0)
@@ -696,8 +704,7 @@ def verify(p: RamseyParams) -> list[Check]:
 
     # transversality over a horizon long enough for the factor-10 bar:
     # discounted assets decay at the effective discount rate
-    eff = p.rho - p.alpha_L - (1.0 - p.theta) * p.alpha_T
-    t_end = max(200.0, 3.0 * math.log(10.0) / eff)
+    t_end = max(200.0, 3.0 * math.log(10.0) / _eff_discount(p))
     steps = 2 * int(round(t_end / 0.05 / 2))
     full = np.full((steps + 1, 2), (ss.log_k_star, ss.log_c_star))
     n_av = min(cut + 1, steps + 1)

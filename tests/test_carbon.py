@@ -1,5 +1,7 @@
 """Single-box carbon stock under exponential emissions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,16 @@ def test_airborne_fraction_accepts_arrays():
     out = airborne_fraction(DEFAULTS, t)
     assert out.shape == t.shape
     assert np.all(np.isfinite(out))
+
+
+def test_closed_form_stays_finite_when_the_decay_underflows():
+    # at c = 2, t = 400 the old form's e^{(c+d)t} overflowed and its
+    # product with e^{-ct} = 0 gave nan
+    p = CarbonParams(tau_oc=1.0, tau_ld=1.0, f0=10.0, d=1.0e-9, x0=600.0)
+    grid = Grid(0.0, 400.0, 4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = concentration_closed(p, grid.times)
+    traj = rk4_integrate(concentration_rhs(p), p.x0, grid)
+    assert np.all(np.isfinite(closed))
+    assert abs(closed[-1] - traj.states[-1, 0]) < 1.0e-9 * closed[-1]

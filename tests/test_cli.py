@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,15 @@ def test_carbon_subcommand_csv(capsys, tmp_path):
     assert len(lines) == 202
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0 and first[2] == 600.0
+
+
+def test_carbon_divergence_exits_four_without_warnings(capsys):
+    # the closed forms used to run first and overflow e^{dt} at t = 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "carbon", "--t1=1e6")
+    assert code == 4
+    assert out == "" and err.startswith("econlab: integration diverged")
 
 
 def test_crra_subcommand(capsys):
@@ -308,5 +319,44 @@ def test_module_entry_point_runs_without_warnings():
 def test_shipped_baseline_config_is_the_library_baseline():
     config = parse_args(["ramsey-steady", "--config",
                          str(REPO / "configs" / "baseline.cfg")])
-    assert config.options["params"] == ramsey.BASELINE
-    assert parse_args(["ramsey-steady"]).options["params"] == ramsey.BASELINE
+    assert config.params == ramsey.BASELINE
+    assert parse_args(["ramsey-steady"]).params == ramsey.BASELINE
+
+
+_VALUE = re.compile(r"-?\d\.\d{11}e[+-]\d{2,3}$")
+
+
+@pytest.mark.parametrize("argv, layout", [
+    (["eig", "--matrix=2.5,-0.5;-0.5,2.5"],
+     [("lambda1", 0), ("lambda2", 0), ("v1", 1), ("v2", 1)]),
+    (["eig", "--matrix=2.5,-0.5;-0.5,2.5", "--vector=1,3"],
+     [("lambda1", 0), ("lambda2", 0), ("v1", 1), ("v2", 1),
+      ("new_coords", 1), ("stretched", 1), ("y", 1)]),
+    (["cramer", "--matrix=2,1,0;1,3,0;0,0,4", "--rhs=5,10,8"], [("x", 2)]),
+    (["taylor", "--x=1"],
+     [("sin", 0), ("cos", 0), ("exp_i_re", 0), ("exp_i_im", 0)]),
+    (["sphere", "--matrix=3,1,0;1,4,0;0,0,2"],
+     [("lambda_min", 0), ("lambda_max", 0), ("x_min", 2), ("x_max", 2),
+      ("residual_min", 0), ("residual_max", 0)]),
+    (["crra", "--theta=2", "--x=2"],
+     [("utility", 0), ("marginal", 0), ("arrow_pratt", 0)]),
+    (["ramsey-steady"], [("k_star", 0), ("c_star", 0), ("rhs_residual", 0)]),
+    (["ramsey-linearize"],
+     [("a11", 0), ("a12", 0), ("a21", 0), ("a22", 0), ("lambda1", 0),
+      ("lambda2", 0), ("v1", 1), ("v2", 1), ("diagonalizable", None)]),
+    (["ramsey-saddle"],
+     [("k0", 0), ("c0_linear", 0), ("c0_shooting", 0), ("relative_gap", 0)]),
+])
+def test_name_value_output_layout(capsys, argv, layout):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.endswith("\n")
+    lines = [line.split(" = ") for line in out[:-1].split("\n")]
+    assert [name for name, _ in lines] == [name for name, _ in layout]
+    for (name, value), (_, commas) in zip(lines, layout):
+        if commas is None:
+            assert value == "True"
+        else:
+            entries = value.split(",")
+            assert len(entries) == commas + 1, name
+            assert all(_VALUE.match(v) for v in entries), (name, value)
