@@ -227,6 +227,16 @@ def cramer_solve(a, b) -> np.ndarray:
         raise DomainError(f"right-hand side must have shape ({n},)")
     if not np.all(np.isfinite(b)):
         raise DomainError("right-hand side must be finite")
+    # scale a and b by one power of two so that max |a_ij| lies in
+    # [1/2, 1): exact, leaves every ratio det(a_i)/det(a) unchanged, and
+    # keeps the determinants of very large or small matrices finite
+    e = math.frexp(float(np.max(np.abs(a))))[1]
+    a = np.ldexp(a, -e)
+    with np.errstate(over="ignore"):
+        b = np.ldexp(b, -e)
+    if not np.all(np.isfinite(b)):
+        # |x| >= max|b| / (n max|a|): the solution is past the float range
+        raise DomainError("solution exceeds the floating-point range")
     max_col = float(np.max(np.sqrt((a * a).sum(axis=0))))
     d = detN(a)
     if abs(d) <= 1.0e-12 * max_col ** n:

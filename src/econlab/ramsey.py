@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crra
-from .errors import (BracketError, ComplexSpectrumError, ConvergenceError,
-                     DivergenceError, DomainError, HorizonError,
-                     InfeasibleParametersError, NotDiagonalizableError,
+from .errors import (BracketError, ConvergenceError, DivergenceError,
+                     DomainError, HorizonError, InfeasibleParametersError,
                      StabilityStructureError)
-from .matgeo import EigenDecomp2, MatrixComplex, _canonical, _null_vector
+from .matgeo import EigenDecomp2, eig2
 from .numerics import (Grid, Trajectory, bisect, central_diff_gradient,
                        cumulative_simpson, simpson_samples)
 
@@ -159,30 +158,14 @@ def is_diagonalizable(p: RamseyParams) -> bool:
 
 
 def eigen_closed(p: RamseyParams) -> EigenDecomp2:
-    """Eigen-decomposition of the steady-state Jacobian in closed form.
+    """Eigen-decomposition of the steady-state Jacobian: eig2 on the
+    closed-form jacobian_closed, so lambda1 >= lambda2 and each
+    eigenvector has largest component +1.
 
-    lambda = a11/2 +/- sqrt(a11^2/4 + a12 a21), eigenvectors
-    (-a12, a11/2 -/+ sqrt(...)), normalized like eig2 (largest component
-    +1) and ordered lambda1 >= lambda2.
+    a12 < 0 and a21 < 0 for every accepted RamseyParams, so the
+    discriminant a11^2 + 4 a12 a21 exceeds a11^2 > 0: a real saddle.
     """
-    j = jacobian_closed(p)
-    a11, a12, a21 = j[0, 0], j[0, 1], j[1, 0]
-    full = a11 * a11 + 4.0 * a12 * a21
-    if abs(full) <= 1.0e-12:
-        raise NotDiagonalizableError(
-            "repeated eigenvalue: a11^2 = -4 a12 a21 within 1e-12")
-    if full < 0.0:
-        half, im = 0.5 * a11, 0.5 * math.sqrt(-full)
-        raise ComplexSpectrumError(
-            f"complex spectrum {half} +/- {im}i",
-            pair=(MatrixComplex(half, im), MatrixComplex(half, -im)))
-    s = 0.5 * math.sqrt(full)
-    lam1, lam2 = 0.5 * a11 + s, 0.5 * a11 - s
-    v1 = np.array([-a12, 0.5 * a11 - s])
-    v2 = np.array([-a12, 0.5 * a11 + s])
-    v1 = _canonical(v1) if v1 @ v1 > 0.0 else _null_vector(j, lam1)
-    v2 = _canonical(v2) if v2 @ v2 > 0.0 else _null_vector(j, lam2)
-    return EigenDecomp2.from_pairs(lam1, v1, lam2, v2)
+    return eig2(jacobian_closed(p))
 
 
 @dataclass
@@ -661,6 +644,8 @@ def verify(p: RamseyParams) -> list[Check]:
     routes: steady-state residual, Jacobian vs finite differences,
     eigenpair residuals, shooting vs linear arm, Euler residuals,
     transversality, lifetime budget identity and asset-path tracking.
+    A saddle simulation that blows up at its first step leaves no path
+    to check, and its DivergenceError propagates.
     """
     checks = []
 
@@ -695,6 +680,8 @@ def verify(p: RamseyParams) -> list[Check]:
     try:
         traj = simulate(p, k0, c0_shoot, Grid(0.0, 400.0, 8000))
     except DivergenceError as exc:
+        if exc.partial is None:
+            raise
         traj = exc.partial
     cut = _closest_approach_index(traj, ss)
     resid_e = float(np.max(np.abs(euler_residual(p, traj)[:cut + 1])))

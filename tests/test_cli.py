@@ -247,6 +247,18 @@ def test_ramsey_verify_scales_the_asset_check_with_capital(capsys):
     assert float(line.rstrip(")").split()[-1]) < 1.0e-12
 
 
+def test_ramsey_verify_stiff_arm_ends_with_an_exit_code(capsys):
+    # reverse shooting misses the arm here, and simulate blows up at its
+    # first step, leaving no partial path for the Euler check
+    code, _, err = run_cli(
+        capsys, "ramsey-verify", "--A=1.7713471032618244", "--alpha=0.95",
+        "--theta=4.874355379865717", "--delta=0.3537648597999344",
+        "--alpha-L=0.009734908849044389", "--alpha-T=0.019467096633221343",
+        "--rho=0.0577412149264729")
+    assert 0 <= code <= 5
+    assert code in (0, 1) or err.startswith("econlab: ")
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "det", "--matrix", "1,2;3")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2

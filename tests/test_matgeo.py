@@ -1,6 +1,7 @@
 """Determinants, planar maps, 2x2 spectra and companion forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,23 @@ def test_cramer_rejects_singular_system():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystemError):
         cramer_solve(a, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("scale", [1.0e200, 1.0e-200, 1.0e-300])
+def test_cramer_solves_very_large_and_small_matrices(scale):
+    a = np.array([[2.0, 1.0], [1.0, 3.0]]) * scale
+    b = np.array([3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = cramer_solve(a, b)
+    assert np.max(np.abs(x * scale - [1.0, 1.0])) < 1.0e-15
+
+
+def test_cramer_solution_past_the_float_range_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            cramer_solve(np.eye(2) * 1.0e-320, np.array([1.0, 1.0]))
 
 
 def test_cramer_shape_mismatch():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from econlab import ramsey
 from econlab import (BASELINE, BracketError, DivergenceError, DomainError,
                      Grid, HouseholdPath, InfeasibleParametersError,
                      RamseyParams, Trajectory, assets_path, bisect,
@@ -89,10 +90,25 @@ def test_jacobian_matches_finite_differences():
             assert np.max(np.abs(jac[i] - fd)) < 1.0e-6
 
 
+def wide_params(rng):
+    """Log-uniform in [1/8, 8]^7 x BASELINE, alpha capped at 0.95: the
+    box the correctness aim covers."""
+    base = dataclasses.asdict(BASELINE)
+    while True:
+        p = {k: v * 8.0 ** rng.uniform(-1.0, 1.0) for k, v in base.items()}
+        p["alpha"] = min(p["alpha"], 0.95)
+        try:
+            return RamseyParams(**p)
+        except InfeasibleParametersError:
+            continue
+
+
 def test_eigen_closed_matches_numpy_and_is_saddle():
     rng = np.random.default_rng(83)
-    for _ in range(20):
-        p = random_params(rng)
+    wide = np.random.default_rng(89)
+    sample = ([random_params(rng) for _ in range(20)]
+              + [wide_params(wide) for _ in range(2000)])
+    for p in sample:
         jac = jacobian_closed(p)
         d = eigen_closed(p)
         w = np.sort(np.linalg.eigvals(jac).real)
@@ -181,6 +197,19 @@ def test_simulate_rejects_start_beyond_threshold():
     assert exc.value.partial is None
     assert str(exc.value) == \
         "initial state already beyond the blow-up threshold (c-side)"
+
+
+def test_verify_reraises_a_blowup_without_a_partial_path(monkeypatch):
+    err = DivergenceError("initial state already beyond the blow-up "
+                          "threshold (k-side)", 0, 1, -1.0, side="k-side")
+
+    def blow_up(*args):
+        raise err
+
+    monkeypatch.setattr(ramsey, "simulate", blow_up)
+    with pytest.raises(DivergenceError) as exc:
+        ramsey.verify(BASELINE)
+    assert exc.value is err
 
 
 # the RK4 step that crosses the blow-up box overshoots here, and the
