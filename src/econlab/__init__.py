@@ -26,10 +26,10 @@ from .ramsey import (BASELINE, HouseholdPath, LinearizedSystem, RamseyParams,
                      budget_identity_residual, eigen_closed, euler_residual,
                      firm_foc_r, foc_c_residual, hamiltonian,
                      household_path_from_trajectory, is_diagonalizable,
-                     jacobian_closed, linearize, linearized_solution,
-                     production, production_mp, rhs, saddle_path_linear,
-                     shoot_nonlinear, shoot_reverse, simulate, steady_state,
-                     transversality_check, wage)
+                     jacobian_closed, k_nullcline, linearize,
+                     linearized_solution, production, production_mp, rhs,
+                     saddle_path_linear, shoot_nonlinear, shoot_reverse,
+                     simulate, steady_state, transversality_check, wage)
 from .series import (TaylorSpec, cos_taylor, exp_i_taylor,
                      sin_diff_identity_residual, sin_taylor)
 from .spectra import (SphereExtrema, lagrange_residual, quadform_eval,

@@ -200,25 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse and validate; raises SystemExit(2) on usage errors and
-    DomainError (exit 3 via main) on out-of-domain values.  The
-    namespace's `run` is the subcommand's handler."""
-    ns = _build_parser().parse_args(argv)
-    # validate domains up front so bad inputs never reach dispatch
-    if ns.command == "carbon":
-        ns.params = carbon.CarbonParams(
-            tau_oc=ns.tau_oc, tau_ld=ns.tau_ld, f0=ns.f0, d=ns.d, x0=ns.x0)
-        if ns.t1 <= 0.0 or ns.steps < 1:
-            raise DomainError("need t1 > 0 and steps >= 1")
-    elif ns.command == "crra":
-        ns.spec = crra.CrraSpec(theta=ns.theta, k0=ns.k0, k1=ns.k1)
-        if ns.x <= 0.0:
-            raise DomainError(f"consumption must be positive, got {ns.x}")
-    elif ns.command.startswith("ramsey-"):
-        ns.params = _load_ramsey_params(ns)
-    elif ns.command == "sphere":
-        ns.matrix = spectra.as_symmatn(ns.matrix)
-    return ns
+    """Parse argv; raises SystemExit(2) on usage errors.  The namespace's
+    `run` is the subcommand's handler, which builds the library objects
+    (and so makes every domain check) before it writes anything."""
+    return _build_parser().parse_args(argv)
 
 
 def _emit(lines, path=None):
@@ -304,7 +289,8 @@ def _cmd_sphere(opt):
 
 
 def _cmd_carbon(opt):
-    p = opt.params
+    p = carbon.CarbonParams(tau_oc=opt.tau_oc, tau_ld=opt.tau_ld, f0=opt.f0,
+                            d=opt.d, x0=opt.x0)
     grid = Grid(0.0, opt.t1, opt.steps)
     t = grid.times
     # integrate first: a diverging run then ends in DivergenceError before
@@ -321,14 +307,14 @@ def _cmd_carbon(opt):
 
 
 def _cmd_crra(opt):
-    s, x = opt.spec, opt.x
+    s, x = crra.CrraSpec(theta=opt.theta, k0=opt.k0, k1=opt.k1), opt.x
     _emit(_fields(utility=crra.utility(s, x), marginal=crra.marginal(s, x),
                   arrow_pratt=crra.arrow_pratt(s, x, opt.h)))
     return EXIT_OK
 
 
 def _cmd_ramsey_steady(opt):
-    p = opt.params
+    p = _load_ramsey_params(opt)
     ss = ramsey.steady_state(p)
     resid = np.max(np.abs(ramsey.rhs(p, ss.log_k_star, ss.log_c_star)))
     _emit(_fields(k_star=ss.k_star, c_star=ss.c_star, rhs_residual=resid))
@@ -336,7 +322,7 @@ def _cmd_ramsey_steady(opt):
 
 
 def _cmd_ramsey_linearize(opt):
-    p = opt.params
+    p = _load_ramsey_params(opt)
     lin = ramsey.linearize(p)
     j, d = lin.jac, lin.eigen
     _emit(_fields(a11=j[0, 0], a12=j[0, 1], a21=j[1, 0], a22=j[1, 1],
@@ -346,7 +332,7 @@ def _cmd_ramsey_linearize(opt):
 
 
 def _cmd_ramsey_saddle(opt):
-    p = opt.params
+    p = _load_ramsey_params(opt)
     ss = ramsey.steady_state(p)
     k0 = opt.k0 if opt.k0 is not None else opt.k0_frac * ss.k_star
     c0_linear = ramsey.saddle_path_linear(p, k0)
@@ -366,7 +352,7 @@ def _trajectory_csv(p, traj):
 
 
 def _cmd_ramsey_simulate(opt):
-    p = opt.params
+    p = _load_ramsey_params(opt)
     grid = Grid(0.0, opt.t1, opt.steps)
     code = EXIT_OK
     message = None
@@ -387,7 +373,7 @@ def _cmd_ramsey_simulate(opt):
 
 
 def _cmd_ramsey_verify(opt):
-    checks = ramsey.verify(opt.params)
+    checks = ramsey.verify(_load_ramsey_params(opt))
     all_ok = all(c.passed for c in checks)
     _emit([f"{'PASS' if c.passed else 'FAIL'} {c.name} ({c.detail})"
            for c in checks]

@@ -65,9 +65,17 @@ def mc_square_is_minus_identity(p: MatrixComplex) -> bool:
     return bool(np.max(np.abs(sq + np.eye(2))) <= 1.0e-12)
 
 
+def _finite_det(value: float) -> float:
+    # the entries are finite, so a non-finite determinant is an overflow
+    if not math.isfinite(value):
+        raise DomainError("determinant exceeds the floating-point range")
+    return value
+
+
 def det2(m) -> float:
-    m = as_mat2(m)
-    return float(m[0, 0] * m[1, 1] - m[1, 0] * m[0, 1])
+    # Python floats: an overflow gives inf or nan, never a numpy warning
+    a, b, c, d = as_mat2(m).ravel().tolist()
+    return _finite_det(a * d - c * b)
 
 
 def parallelogram_area(v1, v2) -> float:
@@ -202,20 +210,22 @@ def change_of_basis_apply(d: EigenDecomp2, x):
 
 
 def detN(m) -> float:
-    """Determinant by LU elimination with partial pivoting."""
+    """Determinant by LU elimination with partial pivoting; one past the
+    floating-point range raises DomainError."""
     a = as_matn(m).copy()
     n = a.shape[0]
     sign = 1.0
-    for col in range(n - 1):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            return 0.0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            sign = -sign
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= np.outer(factors, a[col, col:])
-    return float(sign * np.prod(np.diag(a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in range(n - 1):
+            piv = col + int(np.argmax(np.abs(a[col:, col])))
+            if a[piv, col] == 0.0:
+                return 0.0
+            if piv != col:
+                a[[col, piv]] = a[[piv, col]]
+                sign = -sign
+            factors = a[col + 1:, col] / a[col, col]
+            a[col + 1:, col:] -= np.outer(factors, a[col, col:])
+        return _finite_det(float(sign * np.prod(np.diag(a))))
 
 
 def cramer_solve(a, b) -> np.ndarray:
@@ -246,6 +256,8 @@ def cramer_solve(a, b) -> np.ndarray:
         ai = a.copy()
         ai[:, i] = b
         x[i] = detN(ai) / d
+    if not np.all(np.isfinite(x)):
+        raise DomainError("solution exceeds the floating-point range")
     return x
 
 

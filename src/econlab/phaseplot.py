@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .ramsey import _eff_dep, production
+from .ramsey import k_nullcline
 
 _W, _H = 640.0, 480.0
 _ML, _MR, _MT, _MB = 70.0, 24.0, 24.0, 48.0
@@ -53,14 +53,11 @@ def _loci(params, steady, view):
     """Sample the nullclines of the (log k, log c) field inside the view.
 
     d log c/dt = 0 is the vertical line log k = log k*; d log k/dt = 0
-    is log c = log(A k^alpha - (delta+alpha_L+alpha_T) k) where that
-    expression is positive.
+    is log c = log(k_nullcline(k)) where that is positive.
     """
-    dep = _eff_dep(params)
     pts = []
     for lk in np.linspace(view.x0, view.x1, 200):
-        k = math.exp(lk)
-        hump = production(params, k) - dep * k
+        hump = k_nullcline(params, math.exp(lk))
         if hump > 0.0:
             pts.append((lk, math.log(hump)))
     out = []

@@ -112,15 +112,33 @@ class SteadyState:
         return math.log(self.c_star)
 
 
+def k_nullcline(p: RamseyParams, k: float) -> float:
+    """Consumption on the d log k / dt = 0 locus: output net of effective
+    depreciation, A k^alpha - (delta+alpha_L+alpha_T) k."""
+    return production(p, k) - _eff_dep(p) * k
+
+
 def steady_state(p: RamseyParams) -> SteadyState:
     """Closed-form rest point of the vector field.
 
     k* solves alpha A k^(alpha-1) = delta + rho + theta*alpha_T; c* is
-    output at k* net of effective depreciation.  Parameters that leave
-    no positive consumption raise InfeasibleParametersError.
+    k_nullcline at k*.  Parameters that leave no positive consumption,
+    or put k* or c* outside the floating-point range, raise
+    InfeasibleParametersError.
     """
-    k_star = (_mp_target(p) / (p.alpha * p.A_tfp)) ** (1.0 / (p.alpha - 1.0))
-    c_star = p.A_tfp * k_star ** p.alpha - _eff_dep(p) * k_star
+    try:
+        k_star = (_mp_target(p) / (p.alpha * p.A_tfp)) ** (1.0 / (p.alpha - 1.0))
+    except OverflowError:
+        k_star = math.inf
+    if not 0.0 < k_star < math.inf:
+        raise InfeasibleParametersError(
+            "steady-state capital is outside the floating-point range "
+            f"(k*={k_star})")
+    c_star = k_nullcline(p, k_star)
+    if not math.isfinite(c_star):
+        raise InfeasibleParametersError(
+            "steady-state consumption is outside the floating-point range "
+            f"(c*={c_star})")
     if c_star <= 0.0:
         raise InfeasibleParametersError(
             f"steady-state consumption is not positive (c*={c_star})")

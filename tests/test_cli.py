@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from econlab import ramsey
-from econlab.cli import (BASELINE_CONFIG, fmt, main, parse_args,
-                         parse_kv_config)
+from econlab.cli import (BASELINE_CONFIG, _load_ramsey_params, fmt, main,
+                         parse_args, parse_kv_config)
 from econlab.errors import DivergenceError, DomainError
 from econlab.numerics import Grid
 
@@ -40,11 +40,29 @@ def test_parse_kv_config_roundtrip():
         parse_kv_config("A = fast")
 
 
-def test_parse_args_validates_domain_before_dispatch():
-    with pytest.raises(DomainError):
-        parse_args(["crra", "--theta", "-1", "--x", "1.0"])
-    with pytest.raises(DomainError):
-        parse_args(["ramsey-steady", "--alpha", "1.5"])
+def test_parse_args_validates_domain_before_dispatch(capsys, tmp_path):
+    # domain errors come before any output: exit 3, nothing on stdout and
+    # no output file created
+    out_path = tmp_path / "out.csv"
+    for argv in (["crra", "--theta=-1", "--x=1.0"],
+                 ["ramsey-steady", "--alpha=1.5"],
+                 ["carbon", "--tau-oc=-1", f"--output={out_path}"],
+                 ["sphere", "--matrix=1,2;0,1"],
+                 ["ramsey-simulate", "--alpha=1.5", "--k0=1", "--c0=1",
+                  f"--output={out_path}"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("econlab: "), argv
+        assert not out_path.exists(), argv
+
+
+def test_grid_errors_read_the_same_in_every_subcommand(capsys):
+    _, _, carbon_err = run_cli(capsys, "carbon", "--t1=-1")
+    code, _, simulate_err = run_cli(capsys, "ramsey-simulate", "--k0=1",
+                                    "--c0=1", "--t1=-1")
+    assert code == 3
+    assert carbon_err == simulate_err
+    assert simulate_err == "econlab: need t1 > t0, got [0.0, -1.0]\n"
 
 
 def test_det_subcommand(capsys):
@@ -259,6 +277,32 @@ def test_ramsey_verify_stiff_arm_ends_with_an_exit_code(capsys):
     assert code in (0, 1) or err.startswith("econlab: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["ramsey-steady"], ["ramsey-linearize"], ["ramsey-saddle"],
+    ["ramsey-simulate", "--k0=1", "--c0=1"], ["ramsey-verify"]])
+def test_overflowing_steady_state_exits_domain(capsys, argv):
+    # k* = (target / alpha A)^(1/(alpha-1)) overflows near alpha = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--alpha=0.999")
+    assert (code, out) == (3, "")
+    assert err.startswith("econlab: steady-state capital")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["det", "--matrix=1e200,0;0,1e200"], "determinant exceeds"),
+    (["det", "--matrix=1e200,0,0;0,1e200,0;0,0,1"], "determinant exceeds"),
+    (["companion", "--coeffs=0,0", "--x=1e200"], "determinant exceeds"),
+    (["cramer", "--matrix=1,0;0,1e-10", "--rhs=1,1e300"], "solution exceeds"),
+])
+def test_results_past_the_float_range_exit_domain(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"econlab: {message} the floating-point range\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "det", "--matrix", "1,2;3")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
@@ -331,8 +375,8 @@ def test_module_entry_point_runs_without_warnings():
 def test_shipped_baseline_config_is_the_library_baseline():
     config = parse_args(["ramsey-steady", "--config",
                          str(REPO / "configs" / "baseline.cfg")])
-    assert config.params == ramsey.BASELINE
-    assert parse_args(["ramsey-steady"]).params == ramsey.BASELINE
+    assert _load_ramsey_params(config) == ramsey.BASELINE
+    assert _load_ramsey_params(parse_args(["ramsey-steady"])) == ramsey.BASELINE
 
 
 _VALUE = re.compile(r"-?\d\.\d{11}e[+-]\d{2,3}$")

@@ -224,6 +224,34 @@ def test_cramer_solution_past_the_float_range_is_a_domain_error():
             cramer_solve(np.eye(2) * 1.0e-320, np.array([1.0, 1.0]))
 
 
+def test_cramer_solution_component_past_the_float_range_is_a_domain_error():
+    # b stays finite after scaling, but x_2 = 1e300 / 1e-10 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="solution exceeds"):
+            cramer_solve(np.diag([1.0, 1.0e-10]), np.array([1.0, 1.0e300]))
+
+
+@pytest.mark.parametrize("det", [
+    lambda: det2(np.eye(2) * 1.0e200),
+    lambda: det2(np.array([[1.0e200, -1.0e200], [1.0e200, 1.0e200]])),
+    lambda: detN(np.diag([1.0e200, 1.0e200, 1.0])),
+    lambda: companion_det(np.zeros(2), 1.0e200),
+], ids=["det2", "det2-sum", "detN", "companion"])
+def test_determinant_past_the_float_range_is_a_domain_error(det):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="determinant exceeds"):
+            det()
+
+
+def test_large_finite_determinants_are_unchanged():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert det2(np.eye(2) * 1.0e150) == 1.0e150 * 1.0e150
+        assert detN(np.diag([1.0e150, 1.0e150, 1.0])) == 1.0e150 * 1.0e150
+
+
 def test_cramer_shape_mismatch():
     with pytest.raises(DomainError):
         cramer_solve(np.eye(2), np.array([1.0, 2.0, 3.0]))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from econlab import (BASELINE, BracketError, DivergenceError, DomainError,
                      budget_identity_residual, central_diff_gradient,
                      eigen_closed, euler_residual, firm_foc_r, foc_c_residual,
                      hamiltonian, household_path_from_trajectory,
-                     is_diagonalizable, jacobian_closed, linearize,
-                     linearized_solution, production, production_mp, rhs,
-                     saddle_path_linear, shoot_nonlinear, shoot_reverse,
-                     simulate, steady_state, transversality_check, wage)
+                     is_diagonalizable, jacobian_closed, k_nullcline,
+                     linearize, linearized_solution, production,
+                     production_mp, rhs, saddle_path_linear, shoot_nonlinear,
+                     shoot_reverse, simulate, steady_state,
+                     transversality_check, wage)
 
 
 def random_params(rng):
@@ -75,6 +77,35 @@ def test_steady_state_agrees_with_bisection_oracle():
     k = math.exp(lk)
     c = production(p, k) - (p.delta + p.alpha_L + p.alpha_T) * k
     assert abs(c - ss.c_star) < 1.0e-9
+
+
+def test_steady_state_past_the_float_range_is_infeasible():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # k* = (0.12 / 0.999)^-1000 overflows
+        with pytest.raises(InfeasibleParametersError, match="capital"):
+            steady_state(dataclasses.replace(BASELINE, alpha=0.999))
+        # k* ~ 9e306 is finite, but A k*^alpha and dep k* are not
+        with pytest.raises(InfeasibleParametersError, match="consumption"):
+            steady_state(dataclasses.replace(BASELINE, A_tfp=3.0e155,
+                                             alpha=0.5, delta=50.0))
+    # just below the overflow, k* is still the closed form to the bit
+    p = dataclasses.replace(BASELINE, alpha=0.997)
+    target = p.delta + p.rho + p.theta * p.alpha_T
+    k_star = (target / (p.alpha * p.A_tfp)) ** (1.0 / (p.alpha - 1.0))
+    assert steady_state(p).k_star == k_star
+
+
+def test_k_nullcline_is_zero_capital_growth():
+    rng = np.random.default_rng(103)
+    for _ in range(25):
+        p = random_params(rng)
+        ss = steady_state(p)
+        assert k_nullcline(p, ss.k_star) == ss.c_star
+        for k in ss.k_star * np.array([0.1, 0.5, 2.0]):
+            c = k_nullcline(p, k)
+            assert c > 0.0
+            assert abs(rhs(p, math.log(k), math.log(c))[0]) < 1.0e-12
 
 
 def test_jacobian_matches_finite_differences():
