@@ -65,8 +65,13 @@ def mc_square_is_minus_identity(p: MatrixComplex) -> bool:
     return bool(np.max(np.abs(sq + np.eye(2))) <= 1.0e-12)
 
 
-def _finite_det(value: float) -> float:
-    # the entries are finite, so a non-finite determinant is an overflow
+def _finite_det(mantissa: float, exponent: int) -> float:
+    # mantissa * 2^exponent; the entries are finite, so a non-finite
+    # determinant is an overflow
+    try:
+        value = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError("determinant exceeds the floating-point range")
     return value
@@ -75,7 +80,14 @@ def _finite_det(value: float) -> float:
 def det2(m) -> float:
     # Python floats: an overflow gives inf or nan, never a numpy warning
     a, b, c, d = as_mat2(m).ravel().tolist()
-    return _finite_det(a * d - c * b)
+    value = a * d - c * b
+    if math.isfinite(value):
+        return value
+    # a product overflowed: retry on the entries scaled by one power of
+    # two (exact) so that max |entry| lies in [1/2, 1)
+    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a, b, c, d = (math.ldexp(x, -e) for x in (a, b, c, d))
+    return _finite_det(a * d - c * b, 2 * e)
 
 
 def parallelogram_area(v1, v2) -> float:
@@ -225,7 +237,14 @@ def detN(m) -> float:
                 sign = -sign
             factors = a[col + 1:, col] / a[col, col]
             a[col + 1:, col:] -= np.outer(factors, a[col, col:])
-        return _finite_det(float(sign * np.prod(np.diag(a))))
+    # the pivot product as mantissa * 2^exponent, so that no partial
+    # product overflows; each step rounds as the plain product would
+    mantissa, exponent = sign, 0
+    for pivot in np.diag(a).tolist():
+        pm, pe = math.frexp(pivot)
+        mantissa, me = math.frexp(mantissa * pm)
+        exponent += pe + me
+    return _finite_det(mantissa, exponent)
 
 
 def cramer_solve(a, b) -> np.ndarray:

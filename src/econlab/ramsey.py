@@ -229,22 +229,40 @@ def _require_saddle(d: EigenDecomp2):
             signs=(float(np.sign(d.lambda1)), float(np.sign(d.lambda2))))
 
 
-def saddle_path_linear(p: RamseyParams, k0: float) -> float:
-    """Initial consumption on the linearized stable arm at capital k0.
-
-    log c0 = log c* + (v2_c / v2_k)(log k0 - log k*), v2 the stable
-    eigenvector.
-    """
-    _check_k(k0)
+def _stable_arm(p: RamseyParams):
+    """Steady state and slope s = v2_c / v2_k of the linear stable arm
+    log c - log c* = s (log k - log k*), v2 the stable eigenvector; an
+    infeasible steady state is reported before a missing saddle."""
+    ss = steady_state(p)
     d = eigen_closed(p)
     _require_saddle(d)
-    v = d.v2  # stable direction (lambda2 < 0)
-    if v[0] == 0.0:
+    if d.v2[0] == 0.0:
         raise StabilityStructureError(
             "stable eigenvector has no capital component", signs=None)
-    ss = steady_state(p)
-    log_c0 = ss.log_c_star + (v[1] / v[0]) * (math.log(k0) - ss.log_k_star)
-    return math.exp(log_c0)
+    return ss, d.v2[1] / d.v2[0]
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _saddle_c0(log_c0: float) -> float:
+    """Saddle-path consumption e^log_c0; InfeasibleParametersError when
+    it underflows to 0 or overflows."""
+    c0 = math.exp(log_c0) if log_c0 <= _LOG_FLOAT_MAX else math.inf
+    if not 0.0 < c0 < math.inf:
+        raise InfeasibleParametersError(
+            "saddle-path consumption is outside the floating-point range "
+            f"(log c0 = {log_c0:.6g})")
+    return c0
+
+
+def saddle_path_linear(p: RamseyParams, k0: float) -> float:
+    """Initial consumption on the linear stable arm at capital k0,
+    log c0 = log c* + s (log k0 - log k*) (see _stable_arm); a c0
+    outside the floating-point range raises InfeasibleParametersError."""
+    _check_k(k0)
+    ss, s = _stable_arm(p)
+    return _saddle_c0(ss.log_c_star + s * (math.log(k0) - ss.log_k_star))
 
 
 def _field(p: RamseyParams):
@@ -330,8 +348,7 @@ def simulate(p: RamseyParams, k0: float, c0: float, grid: Grid) -> Trajectory:
     _check_k(k0)
     if not math.isfinite(c0) or c0 <= 0.0:
         raise DomainError(f"c0 must be positive, got {c0}")
-    ss = steady_state(p)
-    d = eigen_closed(p)
+    ss, s = _stable_arm(p)
     centre = (ss.log_k_star, ss.log_c_star)
     record = []
     step, last, out = _march(_field(p), math.log(k0), math.log(c0),
@@ -339,7 +356,7 @@ def simulate(p: RamseyParams, k0: float, c0: float, grid: Grid) -> Trajectory:
     labels = ("log_k", "log_c")
     if out is None:
         return Trajectory(grid, np.array(record), labels)
-    side, comp, direction = _blowup(last, centre, d.v2[1] / d.v2[0])
+    side, comp, direction = _blowup(last, centre, s)
     # keep the crossing state only while it stays representable: one
     # step near blow-up can overshoot by hundreds of log units, which
     # downstream exponentials cannot absorb
@@ -356,23 +373,21 @@ def simulate(p: RamseyParams, k0: float, c0: float, grid: Grid) -> Trajectory:
 
 
 def _shooting_setup(p: RamseyParams, k0: float, tol: float):
-    """Eigen-decomposition and steady state for a saddle-path solve,
-    after the checks both shooting methods share: a saddle, k0 within
-    [0.05, 5] x k*, a positive tol."""
-    d = eigen_closed(p)
-    _require_saddle(d)
-    ss = steady_state(p)
+    """Steady state and linear-arm slope s from _stable_arm, after the
+    checks both shooting methods share: a saddle, k0 within [0.05, 5] x
+    k*, a positive tol."""
+    ss, s = _stable_arm(p)
     if not 0.05 * ss.k_star <= k0 <= 5.0 * ss.k_star:
         raise DomainError(
             f"k0 must lie within [0.05, 5] x k* = [{0.05 * ss.k_star:.6g}, "
             f"{5.0 * ss.k_star:.6g}], got {k0}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
-    return d, ss
+    return ss, s
 
 
-# reverse shooting: offset of the start point from the steady state
-# along v2, and the most RK4 steps it doubles up to
+# reverse shooting: distance in log k of the start point from the
+# steady state, and the most RK4 steps it doubles up to
 _ARM_EPS = 1.0e-6
 _REVERSE_MAX_STEPS = 2 ** 16
 
@@ -381,23 +396,24 @@ def shoot_reverse(p: RamseyParams, k0: float, tol: float) -> float:
     """Saddle-path initial consumption by reverse shooting along the
     stable arm (Judd 1998, ch. 10.7; Brunner & Strulik 2002).
 
-    Starts on the linear arm at ss + 1e-6 v2, on k0's side of k*, and
-    steps the time-eliminated arm d log c / d log k = (d log c/dt)
-    / (d log k/dt) in log k with _march, the RK4 stepper of simulate,
-    so the integration ends exactly at log k0: no bracket, horizon or
-    interpolation.  The step count starts at 8 and doubles until two
-    successive answers differ by at most tol (absolute on c0) or the
-    difference stops shrinking (the roundoff floor); past 2^16 steps it
-    raises ConvergenceError.
-    Within 1e-6 of log k* the linear arm is returned.
+    Starts on the linear arm at (log k* + z, log c* + s z), z = +-1e-6
+    on k0's side, and steps the time-eliminated arm d log c / d log k
+    = (d log c/dt) / (d log k/dt) in log k with _march, the RK4 stepper
+    of simulate, so the integration ends exactly at log k0: no bracket,
+    horizon or interpolation.  The step count starts at 8 and doubles
+    until two successive answers differ by at most tol (absolute on c0)
+    or the difference stops shrinking (the roundoff floor); past 2^16
+    steps it raises ConvergenceError.  Within 1e-6 of log k* the linear
+    arm is returned.  A returned c0 outside the floating-point range
+    raises InfeasibleParametersError.
     """
-    d, ss = _shooting_setup(p, k0, tol)
+    ss, s = _shooting_setup(p, k0, tol)
     dist = math.log(k0) - ss.log_k_star
     if abs(dist) <= _ARM_EPS:
         return saddle_path_linear(p, k0)
-    offset = math.copysign(_ARM_EPS, dist * d.v2[0])
-    lk_start = ss.log_k_star + offset * d.v2[0]
-    lc_start = ss.log_c_star + offset * d.v2[1]
+    z = math.copysign(_ARM_EPS, dist)
+    lk_start = ss.log_k_star + z
+    lc_start = ss.log_c_star + s * z
     span = math.log(k0) - lk_start
     sign = math.copysign(1.0, span)
     f = _field(p)
@@ -415,11 +431,13 @@ def shoot_reverse(p: RamseyParams, k0: float, tol: float) -> float:
         if out is not None:
             raise DivergenceError(f"reverse shooting diverged at step {step}",
                                   step, 1, math.copysign(1.0, out[1]))
-        c0 = math.exp(lc)
+        # a coarse step count may overflow where a finer one does not:
+        # only the answer returned goes through _saddle_c0
+        c0 = math.exp(lc) if lc <= _LOG_FLOAT_MAX else math.inf
         if prev is not None:
             gap = abs(c0 - prev)
             if gap <= tol or (prev_gap is not None and gap >= prev_gap):
-                return c0
+                return _saddle_c0(lc)
             prev_gap = gap
         prev = c0
         steps *= 2
@@ -442,8 +460,7 @@ def shoot_nonlinear(p: RamseyParams, k0: float, tol: float) -> float:
     unclassified at _SHOOT_T_MAX raises HorizonError.  The bracket starts
     at [1e-6, production(k0)] and narrows until its width is <= tol.
     """
-    d, ss = _shooting_setup(p, k0, tol)
-    slope = d.v2[1] / d.v2[0]
+    ss, slope = _shooting_setup(p, k0, tol)
     centre = (ss.log_k_star, ss.log_c_star)
     lk0 = math.log(k0)
     nsteps = int(math.ceil(_SHOOT_T_MAX / _SHOOT_DT))

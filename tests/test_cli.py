@@ -303,6 +303,44 @@ def test_results_past_the_float_range_exit_domain(capsys, argv, message):
     assert err == f"econlab: {message} the floating-point range\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["ramsey-saddle", "--theta=1e-6"],
+    ["ramsey-verify", "--theta=1e-6"],
+    ["ramsey-saddle", "--theta=1e-6", "--k0-frac=5"],
+])
+def test_saddle_consumption_past_the_float_range_exits_domain(capsys, argv):
+    # at a near-linear utility log c0 underflows on the arm below k*
+    # (about -55000), and overflows on the linear arm at 5 k* (about 880)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("econlab: saddle-path consumption is outside the "
+                          "floating-point range (log c0 = ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ramsey-saddle"], ["ramsey-simulate", "--k0=1", "--c0=1", "--t1=10",
+                        "--steps=100"]])
+def test_rounded_away_saddle_exits_domain(capsys, argv):
+    # lambda2 rounds to +0: there is no stable arm to shoot along or to
+    # read a blow-up side from
+    code, out, err = run_cli(capsys, *argv, "--theta=1e18", "--alpha-T=1e-18")
+    assert (code, out) == (3, "")
+    assert err == "econlab: not a saddle: eigenvalue signs (+1, +0)\n"
+
+
+def test_det_of_huge_entries_with_a_representable_value(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "det", "--matrix=1e200,1e200;1e200,1e200") == (
+            0, "0.00000000000e+00\n", "")
+        code, out, _ = run_cli(capsys, "det",
+                               "--matrix=1e200,0,0;0,1e200,0;0,0,1e-200")
+    assert code == 0
+    assert float(out) == pytest.approx(1.0e200, rel=1.0e-14)
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "det", "--matrix", "1,2;3")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2

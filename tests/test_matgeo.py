@@ -252,6 +252,29 @@ def test_large_finite_determinants_are_unchanged():
         assert detN(np.diag([1.0e150, 1.0e150, 1.0])) == 1.0e150 * 1.0e150
 
 
+def test_determinant_survives_an_overflowing_intermediate_product():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert det2(np.full((2, 2), 1.0e200)) == 0.0
+        # a d = 2^1030 overflows; a d - c b = 2^1000 exactly
+        m = np.array([[2.0 ** 1000, 2.0 ** 1000], [2.0 ** 30 - 1.0, 2.0 ** 30]])
+        assert det2(m) == 2.0 ** 1000
+        # pivots 1e200, 1e200, 1e-200: the first two already overflow
+        assert detN(np.diag([1.0e200, 1.0e200, 1.0e-200])) == pytest.approx(
+            1.0e200, rel=1.0e-15)
+
+
+def test_detn_keeps_the_bits_of_the_plain_pivot_product():
+    # on an upper-triangular matrix elimination changes nothing, so the
+    # determinant is the left-to-right product of the diagonal
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        for _ in range(200):
+            a = np.triu(rng.standard_normal((n, n))
+                        * 10.0 ** rng.uniform(-3.0, 3.0, (n, n)))
+            assert detN(a) == math.prod(np.diag(a).tolist())
+
+
 def test_cramer_shape_mismatch():
     with pytest.raises(DomainError):
         cramer_solve(np.eye(2), np.array([1.0, 2.0, 3.0]))

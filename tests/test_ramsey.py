@@ -330,6 +330,35 @@ def test_shoot_reverse_domain_errors_and_steady_state():
     assert shoot_reverse(p, ss.k_star, 1.0e-10) == saddle_path_linear(p, ss.k_star)
 
 
+@pytest.mark.parametrize("theta", [2.0, 0.2])
+@pytest.mark.parametrize("z", [2.0e-6, -2.0e-6, 1.0e-3, -1.0e-3])
+def test_shoot_reverse_starts_on_the_linear_arm(theta, z):
+    # the arm's curvature is O(z^2) off the linear arm; a start or step
+    # off the arm would show at order z.  theta = 0.2 makes |v2_c/v2_k| > 1.
+    p = dataclasses.replace(BASELINE, theta=theta)
+    k0 = steady_state(p).k_star * math.exp(z)
+    c0 = shoot_reverse(p, k0, 1.0e-14)
+    assert abs(c0 - saddle_path_linear(p, k0)) / c0 <= 0.1 * z * z
+
+
+def test_saddle_consumption_past_the_float_range_is_infeasible():
+    p = dataclasses.replace(BASELINE, theta=1.0e-6)
+    k_star = steady_state(p).k_star
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleParametersError,
+                           match="saddle-path consumption"):
+            shoot_reverse(p, 0.5 * k_star, 1.0e-10)
+        with pytest.raises(InfeasibleParametersError,
+                           match="saddle-path consumption"):
+            saddle_path_linear(p, 5.0 * k_star)
+        # the 8- and 16-step passes overflow c0 (log c0 = 4.6e5, 5.8e4),
+        # the finer ones converge; the reference is a Radau run of the
+        # arm (rtol 1e-11) from the same start
+        c0 = shoot_reverse(p, 2.0 * k_star, 1.0e-6)
+    assert c0 == pytest.approx(121340.91716551574, rel=1.0e-9)
+
+
 def test_shoot_reverse_far_above_steady_state_matches_solve_ivp():
     integrate = pytest.importorskip("scipy.integrate")
     p = BASELINE
