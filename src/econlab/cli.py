@@ -365,8 +365,7 @@ def _cmd_ramsey_simulate(opt):
     if traj is not None:
         _emit(_trajectory_csv(p, traj), opt.output)
         if opt.svg is not None:
-            render_phase_svg([traj], ramsey.steady_state(p), opt.svg,
-                             params=p)
+            render_phase_svg([traj], p, opt.svg)
     if message is not None:
         print(message, file=sys.stderr)
     return code

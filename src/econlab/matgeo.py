@@ -142,35 +142,33 @@ def _null_vector(m, lam) -> np.ndarray:
 
 @dataclass
 class EigenDecomp2:
-    """Real 2x2 eigen-decomposition: columns of P are v1, v2."""
+    """Real 2x2 eigen-decomposition from its eigenpairs, vectors taken as
+    given; P has columns v1, v2, which must be finite and not parallel."""
 
     lambda1: float
-    lambda2: float
     v1: np.ndarray
+    lambda2: float
     v2: np.ndarray
-    P: np.ndarray
-    P_inv: np.ndarray
 
     def __post_init__(self):
+        self.lambda1 = float(self.lambda1)
+        self.lambda2 = float(self.lambda2)
         self.v1 = as_vec2(self.v1)
         self.v2 = as_vec2(self.v2)
-        self.P = as_mat2(self.P)
-        self.P_inv = as_mat2(self.P_inv)
-        if np.max(np.abs(self.P @ self.P_inv - np.eye(2))) > 1.0e-10:
-            raise DomainError("P_inv is not the inverse of P")
-
-    @classmethod
-    def from_pairs(cls, lambda1, v1, lambda2, v2) -> "EigenDecomp2":
-        """Build from eigenpairs, vectors taken as given (not rescaled)."""
-        v1 = as_vec2(v1)
-        v2 = as_vec2(v2)
-        p = np.column_stack([v1, v2])
-        d = det2(p)
+        p = self.P
         scale = max(1.0, float(np.max(np.abs(p))))
-        if abs(d) <= 1.0e-14 * scale * scale:
+        if abs(det2(p)) <= 1.0e-14 * scale * scale:
             raise SingularSystemError("eigenvectors are (numerically) parallel")
-        p_inv = np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / d
-        return cls(float(lambda1), float(lambda2), v1, v2, p, p_inv)
+
+    @property
+    def P(self) -> np.ndarray:
+        return np.column_stack([self.v1, self.v2])
+
+    @property
+    def P_inv(self) -> np.ndarray:
+        """The adjugate of P over its determinant."""
+        p = self.P
+        return np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / det2(p)
 
 
 def eig2(m) -> EigenDecomp2:
@@ -199,13 +197,10 @@ def eig2(m) -> EigenDecomp2:
     if s <= 1.0e-12 * scale:
         # repeated eigenvalue: diagonalizable only for a scaled identity
         if max(abs(a12), abs(a21), abs(a11 - a22)) <= 1.0e-12 * scale:
-            eye = np.eye(2)
-            return EigenDecomp2(lam1, lam2, eye[:, 0].copy(), eye[:, 1].copy(),
-                                eye.copy(), eye.copy())
+            return EigenDecomp2(lam1, (1.0, 0.0), lam2, (0.0, 1.0))
         raise NotDiagonalizableError(
             f"repeated eigenvalue {lam1} with a one-dimensional eigenspace")
-    return EigenDecomp2.from_pairs(lam1, _null_vector(m, lam1),
-                                   lam2, _null_vector(m, lam2))
+    return EigenDecomp2(lam1, _null_vector(m, lam1), lam2, _null_vector(m, lam2))
 
 
 def change_of_basis_apply(d: EigenDecomp2, x):

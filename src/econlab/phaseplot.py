@@ -2,8 +2,8 @@
 
 Hand-rolled markup with fixed number formatting so repeated runs emit
 byte-identical files: axes, the two nullcline loci (sampled
-numerically when model parameters are supplied), trajectory polylines,
-and a single circle marking the steady state.
+numerically), trajectory polylines, and a single circle marking the
+steady state.
 """
 
 import math
@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .ramsey import k_nullcline
+from .ramsey import k_nullcline, steady_state
 
 _W, _H = 640.0, 480.0
 _ML, _MR, _MT, _MB = 70.0, 24.0, 24.0, 48.0
@@ -69,13 +69,14 @@ def _loci(params, steady, view):
     return out
 
 
-def render_phase_svg(traj_list, steady, path, params=None) -> str:
+def render_phase_svg(traj_list, params, path) -> str:
     """Write a phase-plane SVG and return the file path.
 
-    traj_list: (log k, log c) trajectories (may be empty); steady: the
-    SteadyState to mark; params: optional RamseyParams enabling the
-    nullcline loci.
+    traj_list: (log k, log c) trajectories (may be empty); params: the
+    RamseyParams whose steady state is marked and whose nullcline loci
+    are drawn.
     """
+    steady = steady_state(params)
     xs = [steady.log_k_star]
     ys = [steady.log_c_star]
     for traj in traj_list:
@@ -107,8 +108,7 @@ def render_phase_svg(traj_list, steady, path, params=None) -> str:
     parts.append(f'<text x="16" y="{_fmt((_MT + _H - _MB) / 2.0)}" font-size="12" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
                  f'{_fmt((_MT + _H - _MB) / 2.0)})">log c</text>')
-    if params is not None:
-        parts.extend(_loci(params, steady, view))
+    parts.extend(_loci(params, steady, view))
     for i, traj in enumerate(traj_list):
         pts = list(zip(traj.states[:, 0], traj.states[:, 1]))
         parts.append(_polyline(view, pts, _COLORS[i % len(_COLORS)]))

@@ -17,7 +17,7 @@ import numpy as np
 from . import crra
 from .errors import (BracketError, ConvergenceError, DivergenceError,
                      DomainError, HorizonError, InfeasibleParametersError,
-                     StabilityStructureError)
+                     NotDiagonalizableError, StabilityStructureError)
 from .matgeo import EigenDecomp2, eig2
 from .numerics import (Grid, Trajectory, bisect, central_diff_gradient,
                        cumulative_simpson, simpson_samples)
@@ -124,7 +124,9 @@ def steady_state(p: RamseyParams) -> SteadyState:
     k* solves alpha A k^(alpha-1) = delta + rho + theta*alpha_T; c* is
     k_nullcline at k*.  Parameters that leave no positive consumption,
     or put k* or c* outside the floating-point range, raise
-    InfeasibleParametersError.
+    InfeasibleParametersError.  A field residual there (roundoff) above
+    1e-10 x max(1, largest term of the field) raises ConvergenceError;
+    that term is t/alpha or t/theta, t = delta + rho + theta*alpha_T.
     """
     try:
         k_star = (_mp_target(p) / (p.alpha * p.A_tfp)) ** (1.0 / (p.alpha - 1.0))
@@ -143,7 +145,8 @@ def steady_state(p: RamseyParams) -> SteadyState:
         raise InfeasibleParametersError(
             f"steady-state consumption is not positive (c*={c_star})")
     ss = SteadyState(k_star, c_star)
-    if np.max(np.abs(rhs(p, ss.log_k_star, ss.log_c_star))) > 1.0e-10:
+    bar = 1.0e-10 * max(1.0, _mp_target(p) / min(p.alpha, p.theta))
+    if np.max(np.abs(rhs(p, ss.log_k_star, ss.log_c_star))) > bar:
         raise ConvergenceError("vector field does not vanish at the "
                                "closed-form steady state")
     return ss
@@ -170,9 +173,12 @@ def jacobian_closed(p: RamseyParams) -> np.ndarray:
 
 
 def is_diagonalizable(p: RamseyParams) -> bool:
-    """a11^2 != -4 a12 a21 within 1e-12: distinct eigenvalues."""
-    j = jacobian_closed(p)
-    return abs(j[0, 0] ** 2 + 4.0 * j[0, 1] * j[1, 0]) > 1.0e-12
+    """Whether eig2 finds two independent eigenvectors of jacobian_closed."""
+    try:
+        eigen_closed(p)
+    except NotDiagonalizableError:
+        return False
+    return True
 
 
 def eigen_closed(p: RamseyParams) -> EigenDecomp2:
@@ -247,9 +253,9 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 def _saddle_c0(log_c0: float) -> float:
     """Saddle-path consumption e^log_c0; InfeasibleParametersError when
-    it underflows to 0 or overflows."""
+    it overflows or is subnormal (too few significant bits to print)."""
     c0 = math.exp(log_c0) if log_c0 <= _LOG_FLOAT_MAX else math.inf
-    if not 0.0 < c0 < math.inf:
+    if not sys.float_info.min <= c0 < math.inf:
         raise InfeasibleParametersError(
             "saddle-path consumption is outside the floating-point range "
             f"(log c0 = {log_c0:.6g})")

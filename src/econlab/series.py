@@ -14,16 +14,13 @@ from .matgeo import MatrixComplex, mc_mul
 
 @dataclass(frozen=True)
 class TaylorSpec:
-    """Number of nonzero series terms; expansion center pinned at 0."""
+    """Number of nonzero terms of a Maclaurin (center 0) series."""
 
     terms: int
-    center: float = 0.0
 
     def __post_init__(self):
         if self.terms < 1:
             raise DomainError(f"need at least one term, got {self.terms}")
-        if self.center != 0.0:
-            raise DomainError("only Maclaurin expansions (center 0) supported")
 
 
 def _reduce(x: float) -> float:

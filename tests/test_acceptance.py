@@ -75,8 +75,7 @@ def test_criterion_01_determinant_equals_parallelogram_area():
 
 
 def test_criterion_02_change_of_basis_chain():
-    d = e.EigenDecomp2.from_pairs(2.0, np.array([1.0, 1.0]),
-                                  3.0, np.array([-1.0, 1.0]))
+    d = e.EigenDecomp2(2.0, np.array([1.0, 1.0]), 3.0, np.array([-1.0, 1.0]))
     x = np.array([1.0, 3.0])
     new, stretched, y = e.change_of_basis_apply(d, x)
     a = 0.5 * np.array([[5.0, -1.0], [-1.0, 5.0]])

@@ -307,16 +307,68 @@ def test_results_past_the_float_range_exit_domain(capsys, argv, message):
     ["ramsey-saddle", "--theta=1e-6"],
     ["ramsey-verify", "--theta=1e-6"],
     ["ramsey-saddle", "--theta=1e-6", "--k0-frac=5"],
+    ["ramsey-saddle", "--theta=7.6e-5"],
 ])
 def test_saddle_consumption_past_the_float_range_exits_domain(capsys, argv):
     # at a near-linear utility log c0 underflows on the arm below k*
-    # (about -55000), and overflows on the linear arm at 5 k* (about 880)
+    # (about -55000), and overflows on the linear arm at 5 k* (about 880);
+    # at theta = 7.6e-5 the shooting c0 would be subnormal (7.6e-318)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("econlab: saddle-path consumption is outside the "
                           "floating-point range (log c0 = ")
+
+
+def test_tiny_normal_saddle_consumption_is_printed(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "ramsey-saddle", "--theta=1e-4")
+    assert code == 0
+    lines = dict(line.split(" = ") for line in out.strip().splitlines())
+    assert sys.float_info.min <= float(lines["c0_shooting"]) < 1.0e-240
+
+
+@pytest.mark.parametrize("command", ["ramsey-steady", "ramsey-linearize"])
+@pytest.mark.parametrize("large", [["--theta=1e-8"], ["--delta=1e6", "--rho=1e6"]])
+def test_steady_state_residual_bar_scales_with_the_field(capsys, command,
+                                                         large):
+    # terms of 8e6 (consumption row) or 6.7e6 (capital row) leave a
+    # roundoff residual above an absolute 1e-10 bar
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, *large)
+    assert (code, err) == (0, "")
+    assert out.startswith("k_star = " if command == "ramsey-steady"
+                          else "a11 = ")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["ramsey-saddle", "--theta=1e-8"], (3, "econlab: saddle-path consumption")),
+    (["ramsey-verify", "--theta=1e-8"], (3, "econlab: saddle-path consumption")),
+    (["ramsey-verify", "--delta=1e6", "--rho=1e6"],
+     (4, "econlab: trajectory blew up at step 1 ")),
+])
+def test_large_field_shooting_ends_typed(capsys, argv, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (expected[0], "")
+    assert err.startswith(expected[1])
+
+
+def test_ramsey_linearize_reads_diagonalizability_from_eig2(capsys):
+    # every entry of the Jacobian is below 1e-7: an absolute 1e-12 test on
+    # the discriminant (5.5e-16) called these distinct eigenvalues repeated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "ramsey-linearize", "--delta=5e-9",
+                               "--rho=3e-9", "--alpha-L=1e-9", "--alpha-T=2e-9")
+    assert code == 0
+    lines = dict(line.split(" = ") for line in out.strip().splitlines())
+    assert float(lines["lambda1"]) > 0.0 > float(lines["lambda2"])
+    assert lines["diagonalizable"] == "True"
 
 
 @pytest.mark.parametrize("argv", [

@@ -137,18 +137,19 @@ def test_eig2_defective_matrix_raises():
         eig2(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
-def test_from_pairs_keeps_supplied_vectors():
-    d = EigenDecomp2.from_pairs(2.0, np.array([1.0, 1.0]),
-                                3.0, np.array([-1.0, 1.0]))
+def test_eigendecomp_keeps_supplied_vectors():
+    d = EigenDecomp2(2.0, np.array([1.0, 1.0]), 3.0, np.array([-1.0, 1.0]))
     assert np.array_equal(d.v1, np.array([1.0, 1.0]))
     assert np.array_equal(d.P[:, 1], np.array([-1.0, 1.0]))
     assert np.max(np.abs(d.P @ d.P_inv - np.eye(2))) < 1.0e-12
+    # P and P_inv are derived from the eigenvectors, never stored
+    with pytest.raises(AttributeError):
+        d.P = np.eye(2)
 
 
-def test_from_pairs_rejects_parallel_vectors():
+def test_eigendecomp_rejects_parallel_vectors():
     with pytest.raises(SingularSystemError):
-        EigenDecomp2.from_pairs(2.0, np.array([1.0, 1.0]),
-                                3.0, np.array([2.0, 2.0]))
+        EigenDecomp2(2.0, np.array([1.0, 1.0]), 3.0, np.array([2.0, 2.0]))
 
 
 def test_change_of_basis_chain_consistency():

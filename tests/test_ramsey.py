@@ -96,6 +96,19 @@ def test_steady_state_past_the_float_range_is_infeasible():
     assert steady_state(p).k_star == k_star
 
 
+@pytest.mark.parametrize("large", [dict(theta=1.0e-8),
+                                   dict(delta=1.0e6, rho=1.0e6)])
+def test_steady_state_residual_bar_scales_with_the_field(large):
+    # terms of size 1/theta or delta leave a roundoff residual above 1e-10
+    p = dataclasses.replace(BASELINE, **large)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ss = steady_state(p)
+    target = p.delta + p.rho + p.theta * p.alpha_T
+    resid = np.max(np.abs(rhs(p, ss.log_k_star, ss.log_c_star)))
+    assert 1.0e-10 < resid <= 1.0e-10 * target / min(p.alpha, p.theta)
+
+
 def test_k_nullcline_is_zero_capital_growth():
     rng = np.random.default_rng(103)
     for _ in range(25):
@@ -137,8 +150,11 @@ def wide_params(rng):
 def test_eigen_closed_matches_numpy_and_is_saddle():
     rng = np.random.default_rng(83)
     wide = np.random.default_rng(89)
+    # every Jacobian entry of the last set is below 1e-7
     sample = ([random_params(rng) for _ in range(20)]
-              + [wide_params(wide) for _ in range(2000)])
+              + [wide_params(wide) for _ in range(2000)]
+              + [dataclasses.replace(BASELINE, delta=5.0e-9, rho=3.0e-9,
+                                     alpha_L=1.0e-9, alpha_T=2.0e-9)])
     for p in sample:
         jac = jacobian_closed(p)
         d = eigen_closed(p)
@@ -356,6 +372,11 @@ def test_saddle_consumption_past_the_float_range_is_infeasible():
         # the finer ones converge; the reference is a Radau run of the
         # arm (rtol 1e-11) from the same start
         c0 = shoot_reverse(p, 2.0 * k_star, 1.0e-6)
+        # a subnormal c0 (7.6e-318 here) has lost most of its digits
+        p = dataclasses.replace(BASELINE, theta=7.6e-5)
+        with pytest.raises(InfeasibleParametersError,
+                           match="saddle-path consumption"):
+            shoot_reverse(p, 0.5 * steady_state(p).k_star, 1.0e-8)
     assert c0 == pytest.approx(121340.91716551574, rel=1.0e-9)
 
 

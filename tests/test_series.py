@@ -12,8 +12,6 @@ from econlab import (DomainError, TaylorSpec, cos_taylor, exp_i_taylor,
 def test_spec_validation():
     with pytest.raises(DomainError):
         TaylorSpec(0)
-    with pytest.raises(DomainError):
-        TaylorSpec(8, center=1.0)
     assert TaylorSpec(8).terms == 8
 
 
