@@ -20,7 +20,7 @@ from .matgeo import (EigenDecomp2, MatrixComplex, change_of_basis_apply,
                      mc_square_is_minus_identity, parallelogram_area,
                      rotation_scaling)
 from .numerics import (Grid, Trajectory, bisect, central_diff_gradient,
-                       cumulative_simpson, rk4_integrate, rk4_step, simpson)
+                       cumulative_simpson, march, rk4_integrate, simpson)
 from .ramsey import (BASELINE, HouseholdPath, LinearizedSystem, RamseyParams,
                      SteadyState, TransversalityReport, assets_path,
                      budget_identity_residual, eigen_closed, euler_residual,

@@ -6,6 +6,7 @@ staying in the atmosphere) has a closed form that converges to
 d / (c + d) regardless of the initial stock.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,21 @@ class CarbonParams:
         return 1.0 / self.tau_oc + 1.0 / self.tau_ld
 
 
+def _overflow(t) -> DomainError:
+    return DomainError(
+        f"emissions f0 e^(dt) exceed the floating-point range at t = {t:.6g}")
+
+
 def emissions(p: CarbonParams, t):
-    """f(t) = f0 e^{dt}; accepts scalars or arrays."""
-    return p.f0 * np.exp(p.d * np.asarray(t, dtype=float))
+    """f(t) = f0 e^{dt}; accepts scalars or arrays.  A value past the
+    floating-point range raises DomainError."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        f = p.f0 * np.exp(p.d * t)
+    bad = ~np.isfinite(f)
+    if np.any(bad):
+        raise _overflow(float(t[bad].flat[0]))
+    return f
 
 
 def concentration_closed(p: CarbonParams, t):
@@ -54,10 +67,18 @@ def concentration_closed(p: CarbonParams, t):
 
 
 def concentration_rhs(p: CarbonParams):
-    """Vector field f(t) - c x for cross-checking the closed form by RK4."""
+    """Scalar vector field f(t) - c x for cross-checking the closed form
+    by RK4.  Emissions past the floating-point range raise DomainError."""
+    f0, d, c = p.f0, p.d, p.c
 
     def rhs(t, x):
-        return emissions(p, t) - p.c * x
+        try:
+            f = f0 * math.exp(d * t)
+        except OverflowError:
+            f = math.inf
+        if f == math.inf:
+            raise _overflow(t)
+        return f - c * x
 
     return rhs
 

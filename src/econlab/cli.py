@@ -293,15 +293,19 @@ def _cmd_carbon(opt):
                             d=opt.d, x0=opt.x0)
     grid = Grid(0.0, opt.t1, opt.steps)
     t = grid.times
-    # integrate first: a diverging run then ends in DivergenceError before
-    # the closed forms are evaluated at times where e^{dt} overflows
+    # integrate first, so whichever failure comes first in time is the
+    # one reported: a stock past the divergence limit ends in
+    # DivergenceError, emissions past the floating-point range in
+    # DomainError from the vector field.  The emissions are then checked
+    # on the grid before the closed forms use e^{dt}.
     traj = rk4_integrate(carbon.concentration_rhs(p), p.x0, grid)
+    f = carbon.emissions(p, t)
     closed = carbon.concentration_closed(p, t)
     af = carbon.airborne_fraction(p, t)
     af_lim = np.full_like(t, carbon.airborne_fraction_limit(p))
     lines = _csv_lines(
         ["t", "f", "x_closed", "x_rk4", "af", "af_limit"],
-        [t, carbon.emissions(p, t), closed, traj.states[:, 0], af, af_lim])
+        [t, f, closed, traj.states[:, 0], af, af_lim])
     _emit(lines, opt.output)
     return EXIT_OK
 

@@ -65,15 +65,16 @@ def mc_square_is_minus_identity(p: MatrixComplex) -> bool:
     return bool(np.max(np.abs(sq + np.eye(2))) <= 1.0e-12)
 
 
-def _finite_det(mantissa: float, exponent: int) -> float:
+def _finite_ldexp(mantissa: float, exponent: int,
+                what: str = "determinant") -> float:
     # mantissa * 2^exponent; the entries are finite, so a non-finite
-    # determinant is an overflow
+    # result is an overflow
     try:
         value = math.ldexp(mantissa, exponent)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError("determinant exceeds the floating-point range")
+        raise DomainError(f"{what} exceeds the floating-point range")
     return value
 
 
@@ -87,7 +88,7 @@ def det2(m) -> float:
     # two (exact) so that max |entry| lies in [1/2, 1)
     e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
     a, b, c, d = (math.ldexp(x, -e) for x in (a, b, c, d))
-    return _finite_det(a * d - c * b, 2 * e)
+    return _finite_ldexp(a * d - c * b, 2 * e)
 
 
 def parallelogram_area(v1, v2) -> float:
@@ -180,27 +181,35 @@ def eig2(m) -> EigenDecomp2:
     values; a defective matrix raises NotDiagonalizableError.
     """
     m = as_mat2(m)
-    a11, a12 = m[0, 0], m[0, 1]
-    a21, a22 = m[1, 0], m[1, 1]
+    # work on m scaled by one power of two so that max |a_ij| lies in
+    # [1/2, 1): exact, so the eigenvectors keep their bits, the products
+    # below cannot overflow and every threshold is relative to max |a_ij|
+    e = math.frexp(float(np.max(np.abs(m))))[1]
+    m = np.ldexp(m, -e)
+    a11, a12, a21, a22 = m.ravel().tolist()
     tr = a11 + a22
     det = a11 * a22 - a21 * a12
     disc = tr * tr - 4.0 * det
-    scale = max(1.0, abs(a11), abs(a12), abs(a21), abs(a22))
+    scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
     if disc < -(1.0e-12 * scale * scale):
-        half, im = 0.5 * tr, 0.5 * math.sqrt(-disc)
+        half = _finite_ldexp(0.5 * tr, e, "eigenvalue")
+        im = _finite_ldexp(0.5 * math.sqrt(-disc), e, "eigenvalue")
         raise ComplexSpectrumError(
             f"complex spectrum {half} +/- {im}i",
             pair=(MatrixComplex(half, im), MatrixComplex(half, -im)))
     s = math.sqrt(max(disc, 0.0))
     lam1 = 0.5 * (tr + s)
     lam2 = 0.5 * (tr - s)
+    lambda1 = _finite_ldexp(lam1, e, "eigenvalue")
+    lambda2 = _finite_ldexp(lam2, e, "eigenvalue")
     if s <= 1.0e-12 * scale:
         # repeated eigenvalue: diagonalizable only for a scaled identity
         if max(abs(a12), abs(a21), abs(a11 - a22)) <= 1.0e-12 * scale:
-            return EigenDecomp2(lam1, (1.0, 0.0), lam2, (0.0, 1.0))
+            return EigenDecomp2(lambda1, (1.0, 0.0), lambda2, (0.0, 1.0))
         raise NotDiagonalizableError(
-            f"repeated eigenvalue {lam1} with a one-dimensional eigenspace")
-    return EigenDecomp2(lam1, _null_vector(m, lam1), lam2, _null_vector(m, lam2))
+            f"repeated eigenvalue {lambda1} with a one-dimensional eigenspace")
+    return EigenDecomp2(lambda1, _null_vector(m, lam1),
+                        lambda2, _null_vector(m, lam2))
 
 
 def change_of_basis_apply(d: EigenDecomp2, x):
@@ -239,7 +248,7 @@ def detN(m) -> float:
         pm, pe = math.frexp(pivot)
         mantissa, me = math.frexp(mantissa * pm)
         exponent += pe + me
-    return _finite_det(mantissa, exponent)
+    return _finite_ldexp(mantissa, exponent)
 
 
 def cramer_solve(a, b) -> np.ndarray:

@@ -5,6 +5,7 @@ Everything here is deterministic: fixed step counts, no adaptivity, so
 repeated runs produce bit-identical trajectories.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,7 @@ from .errors import BracketError, ConvergenceError, DivergenceError, DomainError
 
 # State magnitude beyond which an integration is declared blown up.
 DIVERGENCE_LIMIT = 1.0e12
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -69,56 +71,63 @@ class Trajectory:
         return self.grid.times
 
 
-def _blown_component(x):
-    """Index/direction of the first non-finite or over-limit component, or None."""
-    for i, v in enumerate(x):
-        if not np.isfinite(v) or abs(v) > DIVERGENCE_LIMIT:
-            if v > 0:
-                return i, 1.0
-            if v < 0:
-                return i, -1.0
-            return i, 0.0  # nan
-    return None
+def march(f, x, y, h, nsteps, centre=(0.0, 0.0),
+          bound=(_FLOAT_MAX, _FLOAT_MAX), record=None):
+    """Fixed-step RK4 on the autonomous scalar pair (x, y), with f(x, y)
+    returning (x', y'): the one RK4 loop of the library.
 
-
-def rk4_step(f, t, x, h):
-    """One classic Runge-Kutta 4 step from (t, x) with step h."""
-    k1 = np.asarray(f(t, x), dtype=float)
-    k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(f(t + h, x + h * k3), dtype=float)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_integrate(f, x0, grid: Grid, labels=()) -> Trajectory:
-    """Integrate x' = f(t, x) over the grid with classic fixed-step RK4.
-
-    f maps (time, state array) to the state derivative.  Raises
-    DivergenceError (with the failing step index, component and sign)
-    as soon as a state component is non-finite or exceeds 1e12 in
-    magnitude.
+    Appends each state inside the box, the start state included, to
+    `record` when given.  Stops at the first state that is non-finite
+    or lies more than `bound` from `centre` in either component (one
+    bound per component); the start state counts as step 0.  Returns
+    (step, last, out): the step that stopped (nsteps if none did), the
+    last state inside the box (the start state if it is already
+    outside) and the state that left it (None if none did).
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if x.ndim != 1:
-        raise DomainError("x0 must be a scalar or 1-D state")
-    bad = _blown_component(x)
-    if bad is not None:
+    cx, cy = centre
+    bx, by = bound
+    if not (abs(x - cx) <= bx and abs(y - cy) <= by):
+        return 0, (x, y), (x, y)
+    if record is not None:
+        record.append((x, y))
+    half = 0.5 * h
+    sixth = h / 6.0
+    for j in range(1, nsteps + 1):
+        d1x, d1y = f(x, y)
+        d2x, d2y = f(x + half * d1x, y + half * d1y)
+        d3x, d3y = f(x + half * d2x, y + half * d2y)
+        d4x, d4y = f(x + h * d3x, y + h * d3y)
+        nx = x + sixth * (d1x + 2.0 * (d2x + d3x) + d4x)
+        ny = y + sixth * (d1y + 2.0 * (d2y + d3y) + d4y)
+        if not (abs(nx - cx) <= bx and abs(ny - cy) <= by):
+            return j, (x, y), (nx, ny)
+        x, y = nx, ny
+        if record is not None:
+            record.append((x, y))
+    return nsteps, (x, y), None
+
+
+def rk4_integrate(f, x0, grid: Grid) -> Trajectory:
+    """Integrate the scalar ODE x' = f(t, x) over the grid with classic
+    fixed-step RK4: march on the pair (t, x) with t' = 1.
+
+    Raises DivergenceError (with the failing step index, component 0 and
+    the sign) as soon as x is non-finite or exceeds 1e12 in magnitude.
+    """
+    record = []
+    step, _, out = march(lambda t, x: (1.0, f(t, x)), grid.t0, float(x0),
+                         grid.h, grid.steps,
+                         bound=(_FLOAT_MAX, DIVERGENCE_LIMIT), record=record)
+    if step == 0:
         raise DomainError("x0 must be finite and below the divergence limit")
-    times = grid.times
-    h = grid.h
-    out = np.empty((grid.steps + 1, x.size))
-    out[0] = x
-    for j in range(grid.steps):
-        x = rk4_step(f, times[j], x, h)
-        bad = _blown_component(x)
-        if bad is not None:
-            comp, direction = bad
-            raise DivergenceError(
-                f"integration diverged at step {j + 1} "
-                f"(component {comp}, direction {direction:+.0f})",
-                step_index=j + 1, component=comp, direction=direction)
-        out[j + 1] = x
-    return Trajectory(grid, out, labels)
+    if out is not None:
+        x = out[1]
+        direction = 1.0 if x > 0 else -1.0 if x < 0 else 0.0  # 0 for nan
+        raise DivergenceError(
+            f"integration diverged at step {step} "
+            f"(component 0, direction {direction:+.0f})",
+            step_index=step, component=0, direction=direction)
+    return Trajectory(grid, np.array(record)[:, 1:])
 
 
 def simpson(g, a, b, panels) -> float:

@@ -20,7 +20,7 @@ from .errors import (BracketError, ConvergenceError, DivergenceError,
                      NotDiagonalizableError, StabilityStructureError)
 from .matgeo import EigenDecomp2, eig2
 from .numerics import (Grid, Trajectory, bisect, central_diff_gradient,
-                       cumulative_simpson, simpson_samples)
+                       cumulative_simpson, march, simpson_samples)
 
 # log-deviation from the steady state beyond which a path is classified
 # as blown up (by simulate and the shooting bisection)
@@ -289,44 +289,6 @@ def _field(p: RamseyParams):
     return f
 
 
-def _march(f, lk, lc, h, nsteps, centre=None, record=None):
-    """Fixed-step RK4 on the scalar pair (lk, lc): the one integrator
-    behind simulate and both shooting methods.
-
-    Appends each state inside the box, the start state included, to
-    `record` when given.  Stops at the first state that is non-finite
-    or, with a `centre`, more than _BLOWUP_DEV from it in either
-    component; the start state counts as step 0.  Returns (step, last,
-    out): the step that stopped (nsteps if none did), the last state
-    inside the box (the start state if it is already outside) and the
-    state that left it (None if none did).
-    """
-    if centre is None:
-        ck = cc = 0.0
-        bound = sys.float_info.max  # finiteness only
-    else:
-        (ck, cc), bound = centre, _BLOWUP_DEV
-    if not (abs(lk - ck) <= bound and abs(lc - cc) <= bound):
-        return 0, (lk, lc), (lk, lc)
-    if record is not None:
-        record.append((lk, lc))
-    half = 0.5 * h
-    sixth = h / 6.0
-    for j in range(1, nsteps + 1):
-        d1k, d1c = f(lk, lc)
-        d2k, d2c = f(lk + half * d1k, lc + half * d1c)
-        d3k, d3c = f(lk + half * d2k, lc + half * d2c)
-        d4k, d4c = f(lk + h * d3k, lc + h * d3c)
-        nlk = lk + sixth * (d1k + 2.0 * (d2k + d3k) + d4k)
-        nlc = lc + sixth * (d1c + 2.0 * (d2c + d3c) + d4c)
-        if not (abs(nlk - ck) <= bound and abs(nlc - cc) <= bound):
-            return j, (lk, lc), (nlk, nlc)
-        lk, lc = nlk, nlc
-        if record is not None:
-            record.append((lk, lc))
-    return nsteps, (lk, lc), None
-
-
 def _blowup(last, centre, slope):
     """(side, component, direction) of a path that left the box around
     `centre`, read from `last`, its last state inside: the step that
@@ -357,8 +319,9 @@ def simulate(p: RamseyParams, k0: float, c0: float, grid: Grid) -> Trajectory:
     ss, s = _stable_arm(p)
     centre = (ss.log_k_star, ss.log_c_star)
     record = []
-    step, last, out = _march(_field(p), math.log(k0), math.log(c0),
-                             grid.h, grid.steps, centre, record)
+    step, last, out = march(_field(p), math.log(k0), math.log(c0), grid.h,
+                            grid.steps, centre, (_BLOWUP_DEV, _BLOWUP_DEV),
+                            record)
     labels = ("log_k", "log_c")
     if out is None:
         return Trajectory(grid, np.array(record), labels)
@@ -404,9 +367,9 @@ def shoot_reverse(p: RamseyParams, k0: float, tol: float) -> float:
 
     Starts on the linear arm at (log k* + z, log c* + s z), z = +-1e-6
     on k0's side, and steps the time-eliminated arm d log c / d log k
-    = (d log c/dt) / (d log k/dt) in log k with _march, the RK4 stepper
-    of simulate, so the integration ends exactly at log k0: no bracket,
-    horizon or interpolation.  The step count starts at 8 and doubles
+    = (d log c/dt) / (d log k/dt) in log k with numerics.march, the RK4
+    stepper of simulate, so the integration ends exactly at log k0: no
+    bracket, horizon or interpolation.  The step count starts at 8 and doubles
     until two successive answers differ by at most tol (absolute on c0)
     or the difference stops shrinking (the roundoff floor); past 2^16
     steps it raises ConvergenceError.  Within 1e-6 of log k* the linear
@@ -432,8 +395,8 @@ def shoot_reverse(p: RamseyParams, k0: float, tol: float) -> float:
     prev = prev_gap = None
     steps = 8
     while steps <= _REVERSE_MAX_STEPS:
-        step, (_, lc), out = _march(arm, lk_start, lc_start,
-                                    abs(span) / steps, steps)
+        step, (_, lc), out = march(arm, lk_start, lc_start,
+                                   abs(span) / steps, steps)
         if out is not None:
             raise DivergenceError(f"reverse shooting diverged at step {step}",
                                   step, 1, math.copysign(1.0, out[1]))
@@ -474,7 +437,8 @@ def shoot_nonlinear(p: RamseyParams, k0: float, tol: float) -> float:
     f = _field(p)
 
     def classify(c0):
-        _, last, out = _march(f, lk0, math.log(c0), h, nsteps, centre)
+        _, last, out = march(f, lk0, math.log(c0), h, nsteps, centre,
+                             (_BLOWUP_DEV, _BLOWUP_DEV))
         if out is None:
             raise HorizonError(
                 f"trial c0={c0} not classified within t_max={_SHOOT_T_MAX}")
@@ -680,6 +644,12 @@ def _closest_approach_index(traj, ss):
     return int(np.argmin((dev * dev).sum(axis=1)))
 
 
+# the most grid nodes check 6 builds its transversality path on, about
+# 100 MB of arrays: the horizon 3 ln 10 / eff reaches it at an effective
+# discount rate of 1.4e-4
+_VERIFY_MAX_NODES = 1_000_000
+
+
 def verify(p: RamseyParams) -> list[Check]:
     """Eight cross-checks of the closed forms against independent numeric
     routes: steady-state residual, Jacobian vs finite differences,
@@ -733,6 +703,11 @@ def verify(p: RamseyParams) -> list[Check]:
     # transversality over a horizon long enough for the factor-10 bar:
     # discounted assets decay at the effective discount rate
     t_end = max(200.0, 3.0 * math.log(10.0) / _eff_discount(p))
+    nodes = t_end / 0.05 + 1.0  # a float: t_end may be past any int
+    if nodes > _VERIFY_MAX_NODES:
+        raise HorizonError(
+            f"transversality horizon t = {t_end:.6g} needs {nodes:.6g} grid "
+            f"nodes at dt = 0.05, more than the {_VERIFY_MAX_NODES} allowed")
     steps = 2 * int(round(t_end / 0.05 / 2))
     full = np.full((steps + 1, 2), (ss.log_k_star, ss.log_c_star))
     n_av = min(cut + 1, steps + 1)

@@ -34,6 +34,18 @@ def test_emissions_grow_exponentially():
     assert np.allclose(out, 10.0 * np.exp(0.02 * t), rtol=1.0e-14)
 
 
+def test_emissions_past_the_float_range_raise_domain_error():
+    p = CarbonParams(tau_oc=30.0, tau_ld=30.0, f0=1.0e-300, d=1.0, x0=600.0)
+    rhs = concentration_rhs(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(emissions(p, 709.0))
+        with pytest.raises(DomainError, match="emissions"):
+            emissions(p, np.array([0.0, 800.0]))
+        with pytest.raises(DomainError, match="emissions"):
+            rhs(800.0, 600.0)
+
+
 def test_closed_form_starts_at_x0_and_solves_the_ode():
     p = DEFAULTS
     assert concentration_closed(p, 0.0) == p.x0
@@ -43,7 +55,7 @@ def test_closed_form_starts_at_x0_and_solves_the_ode():
         h = 1.0e-5 * max(1.0, t)
         num = (concentration_closed(p, t + h)
                - concentration_closed(p, t - h)) / (2.0 * h)
-        ana = rhs(t, np.array([concentration_closed(p, t)]))[0]
+        ana = rhs(t, float(concentration_closed(p, t)))
         assert abs(num - ana) < 1.0e-4 * max(1.0, abs(ana))
 
 

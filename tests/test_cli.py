@@ -85,6 +85,24 @@ def test_eig_subcommand_chain(capsys):
     assert y == [1.0, 7.0]
 
 
+@pytest.mark.parametrize("matrix, v1, v2", [
+    # used to overflow tr^2 and det into a traceback under -W error;
+    # now prints the vectors of diag(1, 2), signed zero included
+    ("1e200,0;0,2e200", "0.00000000000e+00,1.00000000000e+00",
+     "1.00000000000e+00,-0.00000000000e+00"),
+    # used to read as a scaled identity under an absolute 1e-12 floor
+    ("1e-13,2e-13;3e-13,-1e-13", "1.00000000000e+00,8.22875655532e-01",
+     "-5.48583770355e-01,1.00000000000e+00"),
+])
+def test_eig_of_very_large_or_small_entries(capsys, matrix, v1, v2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "eig", f"--matrix={matrix}")
+    assert code == 0
+    lines = dict(line.split(" = ") for line in out.strip().splitlines())
+    assert (lines["v1"], lines["v2"]) == (v1, v2)
+
+
 def test_eig_complex_spectrum_exits_domain(capsys):
     code, _, err = run_cli(capsys, "eig", "--matrix", "0,-1;1,0")
     assert code == 3
@@ -156,6 +174,17 @@ def test_carbon_divergence_exits_four_without_warnings(capsys):
         code, out, err = run_cli(capsys, "carbon", "--t1=1e6")
     assert code == 4
     assert out == "" and err.startswith("econlab: integration diverged")
+
+
+def test_carbon_emission_overflow_exits_domain(capsys):
+    # f0 e^{dt} leaves the float range at t = 709.8, while the stock is
+    # still near 1e8, far below the divergence limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "carbon", "--f0=1e-300", "--d=1",
+                                 "--t1=800", "--steps=2000")
+    assert code == 3
+    assert out == "" and err.startswith("econlab: emissions")
 
 
 def test_crra_subcommand(capsys):
@@ -349,6 +378,9 @@ def test_steady_state_residual_bar_scales_with_the_field(capsys, command,
     (["ramsey-verify", "--theta=1e-8"], (3, "econlab: saddle-path consumption")),
     (["ramsey-verify", "--delta=1e6", "--rho=1e6"],
      (4, "econlab: trajectory blew up at step 1 ")),
+    # effective discount 1e-13: check 6's horizon would need 1.4e15 nodes
+    (["ramsey-verify", "--theta=0.5", "--rho=0.0200000000001"],
+     (4, "econlab: transversality horizon")),
 ])
 def test_large_field_shooting_ends_typed(capsys, argv, expected):
     with warnings.catch_warnings():

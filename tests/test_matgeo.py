@@ -1,6 +1,7 @@
 """Determinants, planar maps, 2x2 spectra and companion forms."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -130,6 +131,39 @@ def test_eig2_scaled_identity_uses_standard_basis():
     d = eig2(3.0 * np.eye(2))
     assert d.lambda1 == d.lambda2 == 3.0
     assert np.array_equal(d.P, np.eye(2))
+
+
+def test_eig2_is_invariant_under_power_of_two_scaling():
+    # the thresholds are relative: scaling by 2^k scales the eigenvalues
+    # by 2^k and leaves the eigenvectors' bits alone, from 1e-180 to
+    # 1e+180, where the unscaled products used to overflow or fall
+    # under an absolute floor
+    a = np.array([[1.0, 2.0], [3.0, -1.0]])
+    ref = eig2(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-600, -43, 43, 600):
+            d = eig2(np.ldexp(a, k))
+            assert d.lambda1 == math.ldexp(ref.lambda1, k)
+            assert d.lambda2 == math.ldexp(ref.lambda2, k)
+            assert np.array_equal(d.v1, ref.v1)
+            assert np.array_equal(d.v2, ref.v2)
+
+
+def test_eig2_of_huge_entries():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = eig2(np.array([[1.0e200, 0.0], [0.0, 2.0e200]]))
+    assert (d.lambda1, d.lambda2) == (2.0e200, 1.0e200)
+    assert np.array_equal(d.P, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_eig2_eigenvalue_past_the_float_range_raises_domain_error():
+    big = 0.75 * sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="floating-point range"):
+            eig2(np.array([[big, big], [big, big]]))
 
 
 def test_eig2_defective_matrix_raises():

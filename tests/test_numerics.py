@@ -1,14 +1,15 @@
 """Integrator, quadrature, differencing and root-finding checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from econlab import (BracketError, ConvergenceError, DivergenceError,
                      DomainError, Grid, Trajectory, bisect,
-                     central_diff_gradient, cumulative_simpson, rk4_integrate,
-                     rk4_step, simpson)
+                     central_diff_gradient, cumulative_simpson, march,
+                     rk4_integrate, simpson)
 
 
 def test_grid_properties():
@@ -37,46 +38,66 @@ def test_trajectory_shape_validation():
     assert np.allclose(traj.times, g.times)
 
 
-def test_rk4_step_is_fourth_order():
+def test_rk4_integrate_is_fourth_order():
     # one step of x' = x from 1: error against e^h shrinks like h^5
     f = lambda t, x: x
     errs = []
     for h in (0.1, 0.05):
-        out = rk4_step(f, 0.0, np.array([1.0]), h)
-        errs.append(abs(out[0] - math.exp(h)))
+        traj = rk4_integrate(f, 1.0, Grid(0.0, h, 1))
+        errs.append(abs(traj.states[-1, 0] - math.exp(h)))
     assert errs[0] / errs[1] > 25.0
 
 
 def test_rk4_integrate_matches_exponential():
     g = Grid(0.0, 2.0, 200)
-    traj = rk4_integrate(lambda t, x: x, np.array([1.0]), g)
+    traj = rk4_integrate(lambda t, x: x, 1.0, g)
     assert abs(traj.states[-1, 0] - math.exp(2.0)) < 1.0e-8
 
 
-def test_rk4_integrate_oscillator_conserves_energy():
-    g = Grid(0.0, 20.0, 2000)
-    f = lambda t, x: np.array([x[1], -x[0]])
-    traj = rk4_integrate(f, np.array([1.0, 0.0]), g)
-    energy = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
+def test_march_oscillator_conserves_energy():
+    record = []
+    step, _, out = march(lambda x, y: (y, -x), 1.0, 0.0, 0.01, 2000,
+                         record=record)
+    assert (step, out) == (2000, None)
+    assert len(record) == step + 1
+    energy = np.array([x * x + y * y for x, y in record])
     assert np.max(np.abs(energy - 1.0)) < 1.0e-9
 
 
-def test_rk4_integrate_labels_travel_with_trajectory():
-    g = Grid(0.0, 1.0, 10)
-    traj = rk4_integrate(lambda t, x: -x, np.array([1.0, 2.0]), g,
-                         labels=("a", "b"))
-    assert traj.labels == ("a", "b")
+def test_march_start_outside_the_box_stops_at_step_zero():
+    record = []
+    start = (3.0, 0.5)
+    assert march(lambda x, y: (x, y), *start, 0.1, 10, centre=(0.0, 0.0),
+                 bound=(2.0, 2.0), record=record) == (0, start, start)
+    assert record == []
+
+
+def test_march_returns_the_last_state_inside_the_box():
+    # x' = x from 1 leaves |x| <= 2 after ln 2 / 0.1 ~ 6.9 steps; y
+    # stays put, and only x has a finite bound
+    record = []
+    step, last, out = march(lambda x, y: (x, 0.0), 1.0, 7.0, 0.1, 100,
+                            bound=(2.0, sys.float_info.max), record=record)
+    assert step == 7
+    assert len(record) == step  # steps 0 to 6 stayed inside
+    assert last == record[-1] and abs(last[0]) <= 2.0 and last[1] == 7.0
+    assert out[0] > 2.0 and out[1] == 7.0
 
 
 def test_rk4_divergence_reports_component_and_direction():
     # x' = x**3 from a negative start reaches -infinity in finite time
     g = Grid(0.0, 2.0, 4000)
     with pytest.raises(DivergenceError) as exc:
-        rk4_integrate(lambda t, x: x ** 3, np.array([-1.1]), g)
+        rk4_integrate(lambda t, x: x ** 3, -1.1, g)
     err = exc.value
     assert err.component == 0
     assert err.direction == -1.0
     assert 0 < err.step_index <= g.steps
+
+
+def test_rk4_integrate_rejects_a_start_past_the_limit():
+    with pytest.raises(DomainError):
+        rk4_integrate(lambda t, x: x, 1.0e13, Grid(0.0, 1.0, 10))
 
 
 def test_simpson_is_exact_for_cubics():

@@ -9,8 +9,9 @@ import pytest
 
 from econlab import ramsey
 from econlab import (BASELINE, BracketError, DivergenceError, DomainError,
-                     Grid, HouseholdPath, InfeasibleParametersError,
-                     RamseyParams, Trajectory, assets_path, bisect,
+                     Grid, HorizonError, HouseholdPath,
+                     InfeasibleParametersError, RamseyParams, Trajectory,
+                     assets_path, bisect,
                      budget_identity_residual, central_diff_gradient,
                      eigen_closed, euler_residual, firm_foc_r, foc_c_residual,
                      hamiltonian, household_path_from_trajectory,
@@ -165,6 +166,28 @@ def test_eigen_closed_matches_numpy_and_is_saddle():
         assert is_diagonalizable(p)
         for lam, v in ((d.lambda1, d.v1), (d.lambda2, d.v2)):
             assert np.max(np.abs(jac @ v - lam * v)) < 1.0e-9
+
+
+def test_tiny_rates_keep_their_stable_eigenvector():
+    # every Jacobian entry is below 4e-13: an absolute 1e-12 floor read
+    # it as a scaled identity with v2 = (0, 1), and the linear arm then
+    # had no capital component
+    p = dataclasses.replace(BASELINE, delta=5.0e-14, rho=3.0e-14,
+                            alpha_L=1.0e-14, alpha_T=2.0e-14)
+    d = eigen_closed(p)
+    w, v = np.linalg.eig(jacobian_closed(p))
+    stable = v[:, int(np.argmin(w.real))].real
+    assert abs(d.v2[1] - stable[1] / stable[0]) < 1.0e-9
+    k0 = 0.5 * steady_state(p).k_star
+    assert 0.0 < saddle_path_linear(p, k0) < math.inf
+
+
+def test_verify_refuses_a_horizon_past_the_node_limit():
+    # effective discount 1e-13: 3 ln 10 / 1e-13 at dt = 0.05 is 1.4e15
+    # nodes, which np.full could not allocate
+    p = dataclasses.replace(BASELINE, theta=0.5, rho=0.0200000000001)
+    with pytest.raises(HorizonError, match="nodes"):
+        ramsey.verify(p)
 
 
 def test_linearize_bundles_consistent_pieces():
